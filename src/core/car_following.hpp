@@ -1,7 +1,9 @@
 // Closed-loop car-following simulation (paper Figure 1 and Section 6).
 //
 // leader kinematics -> RF scene -> (attack) -> CRA radar -> safe-measurement
-// pipeline -> ACC hierarchy -> follower kinematics, sampled at T = 1 s.
+// pipeline -> ACC hierarchy -> follower kinematics, sampled at T = 1 s. The
+// follower's half of that chain is the core::Follower kernel
+// (core/follower.hpp); this simulation steps one of them behind the leader.
 #pragma once
 
 #include <cstdint>

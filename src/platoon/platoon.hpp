@@ -1,18 +1,17 @@
 // N-vehicle platoon simulation: the pair case study generalized to a string.
 //
 // Vehicle 0 is the leader driving a LeaderProfile; every follower i in
-// [1, n-1] runs the complete sensing stack of the pair scene — radar echo
-// scene -> RadarProcessor -> fault schedule -> SafeMeasurementPipeline with
-// its own detector backend -> ACC hierarchy (or IDM) — against the vehicle
-// directly ahead. The coupling is physical: follower i's controller output
-// moves follower i's plant, which is follower i+1's radar target, so an
-// attack on one vehicle's sensor stream propagates down the string through
-// the gaps.
+// [1, n-1] is a core::Follower — the pair scene's step kernel, with its own
+// radar, SafeMeasurementPipeline, detector backend and ACC (or IDM) —
+// against the vehicle directly ahead. The coupling is physical: follower
+// i's controller output moves follower i's plant, which is follower i+1's
+// radar target, so an attack on one vehicle's sensor stream propagates down
+// the string through the gaps.
 //
-// The per-step order is exactly the pair simulation's (leader steps, then
-// each follower measures its already-stepped predecessor and steps): a
-// 2-vehicle platoon with default options is bit-identical to
-// core::CarFollowingSimulation, which the regression tests pin.
+// The per-step order is the pair simulation's (leader steps, then each
+// follower senses its already-stepped predecessor and acts), so a 2-vehicle
+// platoon with default options is bit-identical to
+// core::CarFollowingSimulation; the regression tests pin the wiring.
 //
 // Beyond the pair scene, followers with two vehicles ahead get a
 // multi-target echo scene (the second-ahead return, RCS-attenuated), and an

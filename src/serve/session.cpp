@@ -367,9 +367,10 @@ std::vector<SessionManager::Evicted> SessionManager::evict_idle(
     runtime::MutexLock guard(mutex_);
     for (auto it = sessions_.begin(); it != sessions_.end();) {
       const SessionPtr& session = it->second;
-      // Placeholder slots (HELLO mid-construction) are never idle.
-      if (session &&
-          now_ns - session->last_active_ns() > limits_.idle_timeout_ns) {
+      // Placeholder slots (HELLO mid-construction) are never idle, nor is a
+      // session a pool worker touched after `now_ns` was read.
+      const std::uint64_t last = session ? session->last_active_ns() : now_ns;
+      if (last < now_ns && now_ns - last > limits_.idle_timeout_ns) {
         evicted.push_back(Evicted{.token = session->token(),
                                   .client_id = session->client_id()});
         dead.push_back(session);

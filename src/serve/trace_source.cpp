@@ -2,9 +2,7 @@
 
 #include <utility>
 
-#include "attack/attack.hpp"
-#include "fault/schedule.hpp"
-#include "radar/link_budget.hpp"
+#include "core/follower.hpp"
 #include "vehicle/longitudinal.hpp"
 
 namespace safe::serve {
@@ -43,6 +41,8 @@ HelloFrame hello_from(const TraceSpec& spec, std::string client_id) {
 
 namespace {
 
+// Pipeline options stay at their defaults: a trace runs only the sense
+// half, so the client never builds the session's detector.
 core::ScenarioOptions scenario_options_for(const TraceSpec& spec) {
   core::ScenarioOptions options;
   options.leader = spec.leader;
@@ -52,7 +52,6 @@ core::ScenarioOptions scenario_options_for(const TraceSpec& spec) {
   options.estimator = spec.estimator;
   options.seed = spec.seed;
   options.horizon_steps = spec.horizon_steps;
-  options.pipeline = pipeline_options_for(spec);
   options.fault_spec = spec.fault_spec;
   return options;
 }
@@ -85,77 +84,33 @@ std::vector<MeasurementFrame> make_measurement_trace(const TraceSpec& spec) {
   // the closed-loop simulation would.
   const core::Scenario scenario = make_paper_scenario(scenario_options_for(spec));
   const core::CarFollowingConfig& config = scenario.config;
-  const radar::FmcwParameters& wf = config.radar.waveform;
   const units::Seconds t_sample = config.sample_time_s;
-
-  radar::RadarProcessor radar(config.radar, config.seed);
-  fault::FaultSchedule faults =
-      config.faults ? *config.faults : fault::FaultSchedule{};
-  faults.reset();
 
   // Open loop: the follower mirrors the leader's acceleration, holding the
   // true gap at the initial 100 m. The serving layer never closes the
   // control loop — it only maps measurements to estimates — so the stream
-  // needs no controller.
+  // needs only the kernel's sense half, whose probe gating is the
+  // schedule's challenge bit.
   vehicle::VehicleState leader{.position_m = config.initial_gap_m,
                                .velocity_mps = config.leader_speed_mps};
-  vehicle::VehicleState follower{.position_m = units::Meters{0.0},
-                                 .velocity_mps = config.leader_speed_mps};
+  core::Follower follower(config, config.seed, scenario.schedule,
+                          scenario.attack.get(), config.faults.get(),
+                          vehicle::VehicleState{
+                              .position_m = units::Meters{0.0},
+                              .velocity_mps = config.leader_speed_mps});
 
   std::vector<MeasurementFrame> frames;
   frames.reserve(static_cast<std::size_t>(config.horizon_steps));
-
-  // Per-trace clone: stateful attack models restart for every trace.
-  std::unique_ptr<attack::AttackModel> attack =
-      scenario.attack ? scenario.attack->clone() : nullptr;
-  if (attack) attack->reset();
-
   for (std::int64_t k = 0; k < config.horizon_steps; ++k) {
     const units::Seconds t = static_cast<double>(k) * t_sample;
-    const units::MetersPerSecond2 accel =
-        scenario.leader->acceleration(t);
+    const units::MetersPerSecond2 accel = scenario.leader->acceleration(t);
     leader = vehicle::step(leader, accel, t_sample);
-    follower = vehicle::step(follower, accel, t_sample);
-
-    const units::Meters true_gap = vehicle::gap(leader, follower);
-    const units::MetersPerSecond true_dv =
-        vehicle::relative_velocity(leader, follower);
-
-    radar::EchoScene scene;
-    scene.tx_enabled = !scenario.schedule->is_challenge(k);
-    scene.noise_power_w = config.radar.noise_floor_w;
-    const bool in_window =
-        true_gap >= wf.min_range_m && true_gap <= wf.max_range_m;
-    double echo_power = 0.0;
-    if (in_window) {
-      echo_power =
-          radar::received_echo_power_w(wf, true_gap, config.target_rcs_m2);
-      if (scene.tx_enabled) {
-        scene.echoes.push_back(radar::EchoComponent{
-            .distance_m = true_gap,
-            .range_rate_mps = true_dv,
-            .power_w = echo_power,
-        });
-      }
-    }
-
-    if (attack) {
-      const attack::AttackContext ctx{
-          .time_s = t,
-          .step = k,
-          .true_distance_m = true_gap,
-          .true_range_rate_mps = true_dv,
-          .true_echo_power_w = echo_power,
-          .waveform = &wf,
-      };
-      attack->apply(ctx, scene);
-    }
-
-    radar::RadarMeasurement meas = radar.measure(scene);
-    if (!faults.empty()) {
-      meas = faults.apply(k, scenario.schedule->is_challenge(k), meas);
-    }
-    frames.push_back(MeasurementFrame{.step = k, .measurement = meas});
+    follower.set_state(vehicle::step(follower.state(), accel, t_sample));
+    frames.push_back(MeasurementFrame{
+        .step = k,
+        .measurement = follower.sense(k, t, leader, /*frozen=*/false)
+                           .measurement,
+    });
   }
   return frames;
 }

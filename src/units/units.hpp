@@ -7,7 +7,7 @@
 // compat helpers at the bottom. Non-SI spellings (mph, dB) exist only at
 // construction edges: `MetersPerSecond` has a `from_mph`, `Decibels` has a
 // `to_linear`, and nothing else in the library may open-code those factors
-// (tools/lint_units.py enforces this).
+// (`tools/lint/lint.py --check units` enforces this).
 #pragma once
 
 #include <cmath>

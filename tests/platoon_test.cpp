@@ -3,8 +3,8 @@
 // the string-wide collision freeze, and the propagation-metric reduction.
 //
 // All closed-loop tests use the periodogram estimator for speed; the
-// degeneracy contract holds for either estimator because the platoon loop
-// replicates the pair loop's RNG draw order exactly.
+// degeneracy contract holds for either estimator because the pair and the
+// platoon step the same core::Follower kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -39,12 +39,21 @@ const std::pair<const char*, const char*> kPairedColumns[] = {
     {"degradation", "degradation1"},
 };
 
-void expect_degenerates_to_pair(const core::ScenarioOptions& options) {
-  const core::CarFollowingResult pair =
-      core::make_paper_scenario(options).run();
+/// Both simulations step the same core::Follower kernel, so this guards the
+/// wiring around it: seeding, initial layout, attack/fault routing, and the
+/// controller choice (set on the pair config and in the platoon spec).
+void expect_degenerates_to_pair(
+    const core::ScenarioOptions& options,
+    core::FollowerController controller =
+        core::FollowerController::kAccHierarchy) {
+  core::Scenario pair_scenario = core::make_paper_scenario(options);
+  pair_scenario.config.controller = controller;
+  const core::CarFollowingResult pair = pair_scenario.run();
 
   core::ScenarioOptions platoon_options = options;
-  platoon_options.platoon_spec = "n=2";
+  platoon_options.platoon_spec =
+      controller == core::FollowerController::kIdm ? "n=2,controller=idm"
+                                                   : "n=2";
   const PlatoonResult platoon =
       make_paper_platoon(platoon_options).run();
 
@@ -95,6 +104,26 @@ TEST(Platoon, TwoVehicleNoDefenseDegeneratesToPairScene) {
   o.attack = core::AttackKind::kDelayInjection;
   o.attack_start_s = units::Seconds{180.0};
   o.defense_enabled = false;
+  expect_degenerates_to_pair(o);
+}
+
+TEST(Platoon, TwoVehicleIdmRunDegeneratesToPairScene) {
+  core::ScenarioOptions o = fast_options();
+  o.attack = core::AttackKind::kDelayInjection;
+  o.attack_start_s = units::Seconds{180.0};
+  expect_degenerates_to_pair(o, core::FollowerController::kIdm);
+}
+
+TEST(Platoon, TwoVehicleFaultedRunDegeneratesToPairScene) {
+  core::ScenarioOptions o = fast_options();
+  o.fault_spec = "dropout:start=60,len=12";
+  expect_degenerates_to_pair(o);
+}
+
+TEST(Platoon, TwoVehicleSpoofAttackDegeneratesToPairScene) {
+  core::ScenarioOptions o = fast_options();
+  o.attack_spec = "spoof";
+  o.attack_start_s = units::Seconds{180.0};
   expect_degenerates_to_pair(o);
 }
 

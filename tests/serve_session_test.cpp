@@ -109,6 +109,12 @@ TEST(ServeSession, IdleTimeoutEvictsOnFakeClock) {
   EXPECT_EQ(manager.counters().evicted, 1u);
   EXPECT_FALSE(manager.find(idle.session->token()));
   EXPECT_TRUE(manager.find(busy.session->token()));
+
+  // A pool worker may touch a session after the event loop read its clock:
+  // activity stamped later than `now` is not idleness.
+  busy.session->process(trace[1], /*now_ns=*/1600);
+  EXPECT_TRUE(manager.evict_idle(/*now_ns=*/1500).empty());
+  EXPECT_TRUE(manager.find(busy.session->token()));
 }
 
 TEST(ServeSession, EvictedStateDoesNotLeakIntoReopenedSession) {
