@@ -109,6 +109,15 @@ void BM_Fft4096(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft4096);
 
+// The radar's shape: a 512-sample sweep zero-padded to a 4096-point FFT.
+void BM_Fft512Pad4096(benchmark::State& state) {
+  const auto x = bench_tone(512);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dsp::fft(x, 4096));
+  }
+}
+BENCHMARK(BM_Fft512Pad4096);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -451,9 +451,12 @@ void ChaosProxy::run() {
       while (::recv(wake_fds_[0], drain, sizeof(drain), 0) > 0) {
       }
     }
+    // accept_ready appends links that have no pollfd this round; they are
+    // serviced from the next round on.
+    const std::size_t polled_links = links_.size();
     if ((fds[1].revents & POLLIN) != 0) accept_ready(after);
 
-    for (std::size_t i = 0; i < links_.size(); ++i) {
+    for (std::size_t i = 0; i < polled_links; ++i) {
       Link& link = links_[i];
       const pollfd& client_p = fds[2 + 2 * i];
       const pollfd& server_p = fds[2 + 2 * i + 1];

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <random>
 
@@ -27,6 +28,73 @@ void add_noise(ComplexSignal& x, double sigma, unsigned seed) {
   std::mt19937 rng(seed);
   std::normal_distribution<double> dist(0.0, sigma / std::sqrt(2.0));
   for (auto& xi : x) xi += Complex{dist(rng), dist(rng)};
+}
+
+// The textbook radix-2 loop: std::complex operator* and the twiddle
+// recurrence w *= wlen run again inside every block. The library kernel
+// must reproduce it bit for bit.
+void reference_fft(ComplexSignal& x, bool inverse) {
+  const std::size_t n = x.size();
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1U;
+    for (; j & bit; bit >>= 1U) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(x[i], x[j]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1U) {
+    const double angle = (inverse ? 2.0 : -2.0) * std::numbers::pi /
+                         static_cast<double>(len);
+    const Complex wlen = std::polar(1.0, angle);
+    for (std::size_t i = 0; i < n; i += len) {
+      Complex w{1.0, 0.0};
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const Complex u = x[i + k];
+        const Complex v = x[i + k + len / 2] * w;
+        x[i + k] = u + v;
+        x[i + k + len / 2] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (auto& xi : x) xi *= inv_n;
+  }
+}
+
+// Gaussian samples; a draw of exactly zero is vanishingly unlikely, so every
+// component is nonzero and signed zeros cannot arise in the inputs.
+ComplexSignal random_signal(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::normal_distribution<double> dist(0.0, 1.0);
+  ComplexSignal x(n);
+  for (auto& xi : x) xi = Complex{dist(rng), dist(rng)};
+  return x;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Bitwise equality of two spectra; with `ignore_zero_sign`, +0 and -0
+// components compare equal (and every other value must still match bitwise).
+::testing::AssertionResult bitwise_equal(const ComplexSignal& a,
+                                         const ComplexSignal& b,
+                                         bool ignore_zero_sign = false) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "sizes " << a.size() << " vs " << b.size();
+  }
+  const auto same = [&](double u, double v) {
+    return same_bits(u, v) || (ignore_zero_sign && u == 0.0 && v == 0.0);
+  };
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same(a[i].real(), b[i].real()) || !same(a[i].imag(), b[i].imag())) {
+      return ::testing::AssertionFailure()
+             << "bin " << i << ": " << a[i] << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 TEST(Fft, NextPow2) {
@@ -145,6 +213,58 @@ TEST(Fft, RealSignalOverloadMatchesComplex) {
   ASSERT_EQ(fr.size(), fc.size());
   for (std::size_t i = 0; i < fr.size(); ++i) {
     EXPECT_NEAR(std::abs(fr[i] - fc[i]), 0.0, 1e-12);
+  }
+}
+
+TEST(Fft, InPlaceIsBitIdenticalToTextbookLoop) {
+  for (std::size_t n = 1; n <= 8192; n <<= 1U) {
+    const ComplexSignal x = random_signal(n, static_cast<unsigned>(n));
+    ComplexSignal fast = x;
+    ComplexSignal ref = x;
+    fft_inplace(fast);
+    reference_fft(ref, /*inverse=*/false);
+    EXPECT_TRUE(bitwise_equal(fast, ref)) << "forward, n = " << n;
+
+    fast = x;
+    ref = x;
+    ifft_inplace(fast);
+    reference_fft(ref, /*inverse=*/true);
+    EXPECT_TRUE(bitwise_equal(fast, ref)) << "inverse, n = " << n;
+  }
+}
+
+TEST(Fft, PaddedTransformIsBitIdenticalToExplicitPadding) {
+  for (const std::size_t len : {std::size_t{512}, std::size_t{300}}) {
+    const ComplexSignal x = random_signal(len, 41);
+    ComplexSignal padded = x;
+    padded.resize(4096);
+    fft_inplace(padded);
+    EXPECT_TRUE(bitwise_equal(fft(x, 4096), padded)) << "length " << len;
+  }
+}
+
+TEST(Fft, PaddedHannSpectrumIsBitIdenticalToExplicitPadding) {
+  // The Hann window's end samples are +-0, and skipping the pure-copy stages
+  // may keep a -0 that the explicit transform turns into +0. Only the sign
+  // of zero components may differ; the power spectrum is bitwise equal.
+  for (const std::size_t len : {std::size_t{512}, std::size_t{300}}) {
+    for (unsigned seed = 1; seed <= 20; ++seed) {
+      ComplexSignal x = make_tone(0.0437 * static_cast<double>(seed), 1.0, len);
+      add_noise(x, 0.2, seed);
+      apply_window(x, make_window(WindowKind::kHann, len));
+      ComplexSignal padded = x;
+      padded.resize(4096);
+      fft_inplace(padded);
+      const ComplexSignal fast = fft(x, 4096);
+      EXPECT_TRUE(bitwise_equal(fast, padded, /*ignore_zero_sign=*/true));
+      const RealSignal p_fast = power_spectrum(fast);
+      const RealSignal p_ref = power_spectrum(padded);
+      ASSERT_EQ(p_fast.size(), p_ref.size());
+      EXPECT_EQ(std::memcmp(p_fast.data(), p_ref.data(),
+                            p_fast.size() * sizeof(double)),
+                0)
+          << "length " << len << ", seed " << seed;
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <random>
 #include <set>
@@ -69,6 +70,39 @@ TEST(Covariance, ExchangeConjugateIsInvolution) {
   const auto r = sample_covariance(x, 5);
   EXPECT_LT(linalg::max_abs(exchange_conjugate(exchange_conjugate(r)) - r),
             1e-14);
+}
+
+TEST(Covariance, BitIdenticalToSnapshotOuterLoop) {
+  // The textbook accumulation: snapshot-outer loop, std::complex products.
+  const auto reference = [](const ComplexSignal& signal, std::size_t order) {
+    const std::size_t snapshots = signal.size() - order + 1;
+    linalg::CMatrix r(order, order);
+    for (std::size_t n = 0; n < snapshots; ++n) {
+      for (std::size_t i = 0; i < order; ++i) {
+        const Complex yi = signal[n + i];
+        for (std::size_t j = 0; j < order; ++j) {
+          r(i, j) += yi * std::conj(signal[n + j]);
+        }
+      }
+    }
+    const double scale = 1.0 / static_cast<double>(snapshots);
+    for (std::size_t i = 0; i < order; ++i) {
+      for (std::size_t j = 0; j < order; ++j) r(i, j) *= scale;
+    }
+    return r;
+  };
+  for (const std::size_t order : {1U, 6U, 24U, 64U}) {
+    ComplexSignal x = make_tone(0.0731, 1.0, 512, 1.0, 0.3);
+    add_noise(x, 0.4, static_cast<unsigned>(order));
+    const auto fast = sample_covariance(x, order);
+    const auto ref = reference(x, order);
+    ASSERT_EQ(fast.rows(), ref.rows());
+    ASSERT_EQ(fast.cols(), ref.cols());
+    EXPECT_EQ(std::memcmp(fast.data(), ref.data(),
+                          order * order * sizeof(Complex)),
+              0)
+        << "order " << order;
+  }
 }
 
 TEST(RootMusic, SingleCleanTone) {

@@ -28,6 +28,10 @@ TEST(GaussianNoise, RejectsNegativeStddev) {
   EXPECT_THROW(GaussianNoise(0.0, -1.0, 1), std::invalid_argument);
 }
 
+TEST(GaussianNoise, RejectsNanStddev) {
+  EXPECT_THROW(GaussianNoise(0.0, std::nan(""), 1), std::invalid_argument);
+}
+
 TEST(GaussianNoise, ZeroStddevIsDeterministicMean) {
   GaussianNoise n(3.5, 0.0, 7);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(n.sample(), 3.5);
@@ -55,6 +59,7 @@ TEST(GaussianNoise, SampleMomentsMatch) {
 
 TEST(UniformNoise, RejectsEmptyRange) {
   EXPECT_THROW(UniformNoise(1.0, 1.0, 3), std::invalid_argument);
+  EXPECT_THROW(UniformNoise(2.0, 1.0, 3), std::invalid_argument);
 }
 
 TEST(UniformNoise, SamplesStayInRange) {
