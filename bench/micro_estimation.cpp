@@ -1,16 +1,20 @@
 // Microbenchmarks (google-benchmark) for the estimation and DSP kernels:
 // per-update cost of RLS / LMS / Kalman, the paper's 118-step RLS holdover,
-// and the per-epoch cost of root-MUSIC vs periodogram beat extraction.
+// the per-epoch cost of root-MUSIC vs periodogram beat extraction, and the
+// root-MUSIC stages (covariance, Durand-Kerner rooting) on their own.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <random>
+#include <vector>
 
+#include "dsp/covariance.hpp"
 #include "dsp/music.hpp"
 #include "dsp/spectral.hpp"
 #include "estimation/baselines.hpp"
 #include "estimation/rls.hpp"
 #include "estimation/rls_predictor.hpp"
+#include "linalg/polynomial.hpp"
 
 namespace {
 
@@ -73,9 +77,9 @@ void BM_RlsHoldover118(benchmark::State& state) {
 }
 BENCHMARK(BM_RlsHoldover118);
 
-dsp::ComplexSignal bench_tone(std::size_t n) {
+dsp::ComplexSignal bench_tone(std::size_t n, double noise = 0.1) {
   std::mt19937 rng(4);
-  std::normal_distribution<double> awgn(0.0, 0.1);
+  std::normal_distribution<double> awgn(0.0, noise);
   dsp::ComplexSignal x(n);
   for (std::size_t i = 0; i < n; ++i) {
     x[i] = std::polar(1.0, 2.0 * 3.14159265358979 * 0.047 *
@@ -92,6 +96,47 @@ void BM_RootMusic512(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RootMusic512);
+
+// At high SNR the signal roots of the root-MUSIC polynomial meet on the unit
+// circle as a double root, where Durand-Kerner converges only linearly and
+// stalls just above its tolerance; BM_RootMusic512 (noise 0.1) never does.
+void BM_RootMusic512HighSnr(benchmark::State& state) {
+  const auto x = bench_tone(512, 1e-3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dsp::root_music_frequencies(x, 1.0e6, 1));
+  }
+}
+BENCHMARK(BM_RootMusic512HighSnr);
+
+// Degree 30, the root-MUSIC degree at covariance order 16: two double roots
+// on the unit circle among 26 simple roots inside it, a stalling case.
+void BM_FindRootsStalled(benchmark::State& state) {
+  std::vector<linalg::Complex> roots;
+  for (const double angle : {0.7, -2.1}) {
+    roots.push_back(std::polar(1.0, angle));
+    roots.push_back(std::polar(1.0, angle));
+  }
+  for (std::size_t k = 0; roots.size() < 30; ++k) {
+    const double angle = 0.45 * static_cast<double>(k) + 0.2;
+    const double r = 0.3 + 0.01 * static_cast<double>(k);
+    roots.push_back(std::polar(r, angle));
+    roots.push_back(std::polar(0.9 * r, angle + 0.2));
+  }
+  const auto p = linalg::Polynomial::from_roots(roots);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::find_roots(p));
+  }
+}
+BENCHMARK(BM_FindRootsStalled);
+
+// The radar's covariance shape: 512 samples, order 16.
+void BM_Covariance512x16(benchmark::State& state) {
+  const auto x = bench_tone(512);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dsp::sample_covariance(x, 16));
+  }
+}
+BENCHMARK(BM_Covariance512x16);
 
 void BM_Periodogram512(benchmark::State& state) {
   const auto x = bench_tone(512);

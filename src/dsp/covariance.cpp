@@ -1,10 +1,40 @@
 #include "dsp/covariance.hpp"
 
+#include <array>
 #include <stdexcept>
 
 namespace safe::dsp {
 
 using linalg::CMatrix;
+
+namespace {
+
+/// Entries (i, j) .. (i, j + W - 1) of the covariance of the interleaved
+/// samples `y`: one pass over the snapshots, one accumulator pair per
+/// column, so y_i is loaded once per W products.
+template <std::size_t W>
+void covariance_columns(const double* y, std::size_t i, std::size_t j,
+                        std::size_t snapshots, double scale, CMatrix& r) {
+  const double* const yi = y + 2 * i;
+  const double* const yj = y + 2 * j;
+  std::array<double, W> re{};
+  std::array<double, W> im{};
+  for (std::size_t n = 0; n < snapshots; ++n) {
+    const double ar = yi[2 * n];
+    const double ai = yi[2 * n + 1];
+    for (std::size_t b = 0; b < W; ++b) {
+      const double br = yj[2 * (n + b)];
+      const double bi = -yj[2 * (n + b) + 1];
+      re[b] += ar * br - ai * bi;
+      im[b] += ar * bi + ai * br;
+    }
+  }
+  for (std::size_t b = 0; b < W; ++b) {
+    r(i, j + b) = Complex{re[b] * scale, im[b] * scale};
+  }
+}
+
+}  // namespace
 
 CMatrix sample_covariance(const ComplexSignal& signal, std::size_t order) {
   if (order == 0) {
@@ -19,25 +49,16 @@ CMatrix sample_covariance(const ComplexSignal& signal, std::size_t order) {
   // does, and each term y_i * conj(y_j) is written out on doubles the way
   // std::complex operator* computes it for finite operands, without its
   // __muldc3 call. The entries are therefore bit-identical to accumulating
-  // std::complex products snapshot by snapshot.
+  // std::complex products snapshot by snapshot. Row i is built four
+  // columns per pass over n, then the last order % 4 columns one at a time.
   const double* const y = reinterpret_cast<const double*>(signal.data());
   CMatrix r(order, order);
   for (std::size_t i = 0; i < order; ++i) {
-    for (std::size_t j = 0; j < order; ++j) {
-      const double* yi = y + 2 * i;
-      const double* yj = y + 2 * j;
-      double re = 0.0;
-      double im = 0.0;
-      for (std::size_t n = 0; n < snapshots; ++n) {
-        const double ar = yi[2 * n];
-        const double ai = yi[2 * n + 1];
-        const double br = yj[2 * n];
-        const double bi = -yj[2 * n + 1];
-        re += ar * br - ai * bi;
-        im += ar * bi + ai * br;
-      }
-      r(i, j) = Complex{re * scale, im * scale};
+    std::size_t j = 0;
+    for (; j + 4 <= order; j += 4) {
+      covariance_columns<4>(y, i, j, snapshots, scale, r);
     }
+    for (; j < order; ++j) covariance_columns<1>(y, i, j, snapshots, scale, r);
   }
   return r;
 }

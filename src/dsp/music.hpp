@@ -30,8 +30,11 @@ std::vector<double> music_pseudospectrum(const ComplexSignal& signal,
 
 /// root-MUSIC estimate of `num_sources` complex-exponential frequencies.
 ///
-/// Returns signed frequencies in Hz in (-fs/2, fs/2], sorted by closeness of
-/// their signal-space root to the unit circle (best first). Throws
+/// Returns signed frequencies in Hz in (-fs/2, fs/2]. Roots with magnitude
+/// in [0.2, 1.05] are ranked by the MUSIC null power a(w)^H En En^H a(w) at
+/// their angle w (lowest first), and a root within 1e-4 rad/sample of an
+/// already chosen one is skipped; so at most `num_sources` frequencies come
+/// back, best first, and fewer when too few roots qualify. Throws
 /// std::invalid_argument when the signal is too short for the covariance
 /// order or when num_sources >= covariance_order.
 std::vector<double> root_music_frequencies(const ComplexSignal& signal,

@@ -12,6 +12,11 @@ namespace {
 
 constexpr double kLeadingTrimTol = 1e-300;
 
+// Stagnation exit of find_roots: sweeps without a new smallest step, and
+// how far above the tolerance that smallest step may sit.
+constexpr std::size_t kStallSweeps = 10;
+constexpr double kStallTolFactor = 1e3;
+
 }  // namespace
 
 Polynomial::Polynomial(std::vector<Complex> ascending_coeffs)
@@ -109,7 +114,34 @@ std::vector<Complex> find_roots(const Polynomial& p,
   // High-degree polynomials need proportionally more sweeps.
   const std::size_t iterations =
       std::max(options.max_iterations, 30 * n);
+  // Within a Gauss-Seidel sweep z[i] moves only at its own turn, so every
+  // p(z[i]) the sweep needs is known at its start. They are evaluated
+  // together, root index innermost (n independent Horner chains instead of
+  // n serial ones), on the double view of z with std::complex's op order
+  // for finite operands: the values are bit-identical to q.evaluate(z[i]).
+  const double* const zd = reinterpret_cast<const double*>(z.data());
+  std::vector<double> pz(2 * n);
+  // A step that stays above the tolerance once the iterates sit at their
+  // attainable accuracy (double roots on the unit circle converge only
+  // linearly and then jitter at rounding level) ends the loop: `best`
+  // is the smallest max_step so far, `stalled` counts sweeps since it was
+  // set.
+  double best = std::numeric_limits<double>::infinity();
+  std::size_t stalled = 0;
   for (std::size_t iter = 0; iter < iterations; ++iter) {
+    std::fill(pz.begin(), pz.end(), 0.0);
+    for (std::size_t kp1 = n + 1; kp1 > 0; --kp1) {
+      const double cr = c[kp1 - 1].real();
+      const double ci = c[kp1 - 1].imag();
+      for (std::size_t i = 0; i < n; ++i) {
+        const double zr = zd[2 * i];
+        const double zi = zd[2 * i + 1];
+        const double pr = pz[2 * i];
+        const double pi = pz[2 * i + 1];
+        pz[2 * i] = (pr * zr - pi * zi) + cr;
+        pz[2 * i + 1] = (pr * zi + pi * zr) + ci;
+      }
+    }
     double max_step = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       Complex denom{1.0, 0.0};
@@ -123,11 +155,18 @@ std::vector<Complex> find_roots(const Polynomial& p,
         max_step = std::numeric_limits<double>::infinity();
         continue;
       }
-      const Complex step = q.evaluate(z[i]) / denom;
+      const Complex step = Complex{pz[2 * i], pz[2 * i + 1]} / denom;
       z[i] -= step;
       max_step = std::max(max_step, std::abs(step));
     }
     if (max_step < options.tolerance) break;
+    if (max_step < best) {
+      best = max_step;
+      stalled = 0;
+    } else if (++stalled >= kStallSweeps &&
+               best < kStallTolFactor * options.tolerance) {
+      break;
+    }
   }
 
   // A few polishing Newton steps per root (cheap, tightens clusters).

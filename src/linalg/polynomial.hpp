@@ -52,11 +52,20 @@ class Polynomial {
 
 /// Options controlling the Durand-Kerner iteration.
 struct RootFindingOptions {
+  /// Sweep budget; the cap in force is max(max_iterations, 30 * degree).
   std::size_t max_iterations = 400;
   double tolerance = 1e-12;  ///< max per-root displacement for convergence
 };
 
 /// All complex roots of `p` (degree >= 1) via Durand-Kerner iteration.
+///
+/// Gauss-Seidel sweeps end when a sweep's largest step is below
+/// `tolerance`, or at the sweep cap, or on stagnation: once the smallest
+/// largest-step seen is below 1e3 * tolerance and 10 further sweeps have
+/// not lowered it. Multiple roots (double roots on the unit circle in
+/// root-MUSIC at high SNR) converge only linearly and then jitter at
+/// rounding level just above the tolerance; the stagnation exit stops there
+/// instead of running to the cap. Every root then gets 3 Newton steps.
 ///
 /// Deterministic: the initial guesses lie on a fixed spiral. Throws
 /// std::invalid_argument for (near-)zero polynomials of degree 0.

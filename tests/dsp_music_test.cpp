@@ -91,7 +91,9 @@ TEST(Covariance, BitIdenticalToSnapshotOuterLoop) {
     }
     return r;
   };
-  for (const std::size_t order : {1U, 6U, 24U, 64U}) {
+  // Orders cover every remainder of the four-column blocking (order % 4 in
+  // {0, 1, 2, 3}) and the radar's order 16.
+  for (const std::size_t order : {1U, 3U, 6U, 7U, 16U, 24U, 64U}) {
     ComplexSignal x = make_tone(0.0731, 1.0, 512, 1.0, 0.3);
     add_noise(x, 0.4, static_cast<unsigned>(order));
     const auto fast = sample_covariance(x, order);

@@ -6,9 +6,14 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <limits>
 #include <numbers>
 #include <random>
 #include <vector>
+
+#include "dsp/covariance.hpp"
+#include "linalg/eigen_hermitian.hpp"
 
 namespace safe::linalg {
 namespace {
@@ -153,6 +158,183 @@ TEST(CompanionMatrix, CharacteristicPolynomialProperty) {
     const CVector cv = ct * v;
     EXPECT_LT(norm2(cv - r * v), 1e-10);
   }
+}
+
+// Test-local copy of the Durand-Kerner loop with sequential Horner
+// evaluation (q.evaluate at each root's turn). With stall_exit = false it is
+// the loop without the stagnation exit; with true it carries the same exit
+// rule as find_roots. `sweeps` receives the number of sweeps run.
+std::vector<Complex> sequential_dk(const Polynomial& p, bool stall_exit,
+                                   std::size_t& sweeps) {
+  const RootFindingOptions options;
+  const std::size_t n = p.degree();
+  const Polynomial q = p.monic();
+  const auto& c = q.coefficients();
+  double cauchy = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    cauchy = std::max(cauchy, std::abs(c[i]));
+  }
+  cauchy += 1.0;
+  const double c0 = std::abs(c[0]);
+  double radius = c0 > 0.0
+                      ? std::exp(std::log(c0) / static_cast<double>(n))
+                      : 0.5;
+  radius = std::clamp(radius, 1e-3, cauchy);
+  std::vector<Complex> z(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double angle = (2.0 * std::numbers::pi * static_cast<double>(i)) /
+                             static_cast<double>(n) +
+                         0.3979;
+    const double r = radius * (0.8 + 0.4 * (static_cast<double>(i) + 1.0) /
+                                         static_cast<double>(n));
+    z[i] = std::polar(r, angle);
+  }
+  const std::size_t iterations = std::max(options.max_iterations, 30 * n);
+  double best = std::numeric_limits<double>::infinity();
+  std::size_t stalled = 0;
+  sweeps = 0;
+  for (std::size_t iter = 0; iter < iterations; ++iter) {
+    ++sweeps;
+    double max_step = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      Complex denom{1.0, 0.0};
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j == i) continue;
+        denom *= (z[i] - z[j]);
+      }
+      if (std::abs(denom) == 0.0) {
+        z[i] += Complex(1e-6 * (static_cast<double>(i) + 1.0), 1e-6);
+        max_step = std::numeric_limits<double>::infinity();
+        continue;
+      }
+      const Complex step = q.evaluate(z[i]) / denom;
+      z[i] -= step;
+      max_step = std::max(max_step, std::abs(step));
+    }
+    if (max_step < options.tolerance) break;
+    if (!stall_exit) continue;
+    if (max_step < best) {
+      best = max_step;
+      stalled = 0;
+    } else if (++stalled >= 10 && best < 1e3 * options.tolerance) {
+      break;
+    }
+  }
+  const Polynomial dq = q.derivative();
+  for (auto& zi : z) {
+    for (int step = 0; step < 3; ++step) {
+      const Complex d = dq.evaluate(zi);
+      if (std::abs(d) == 0.0) break;
+      zi -= q.evaluate(zi) / d;
+    }
+  }
+  return z;
+}
+
+bool bitwise_equal(const std::vector<Complex>& a,
+                   const std::vector<Complex>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+// The degree-30 root-MUSIC polynomial D(z) = a^T(1/z) En En^H a(z) of one
+// tone in complex noise (512 samples, covariance order 16, FB-averaged), as
+// dsp::root_music_frequencies builds it.
+Polynomial root_music_polynomial(double noise, unsigned seed) {
+  constexpr std::size_t kSamples = 512;
+  constexpr std::size_t kOrder = 16;
+  std::mt19937 rng(seed);
+  std::normal_distribution<double> awgn(0.0, noise);
+  std::uniform_real_distribution<double> freq(-0.45, 0.45);
+  const double f = freq(rng);
+  std::vector<Complex> x(kSamples);
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    x[i] = std::polar(1.0, 2.0 * std::numbers::pi * f *
+                               static_cast<double>(i)) +
+           Complex{awgn(rng), awgn(rng)};
+  }
+  const auto eig =
+      eigen_hermitian(dsp::forward_backward_covariance(x, kOrder));
+  CMatrix projector(kOrder, kOrder);
+  for (std::size_t k = 0; k + 1 < kOrder; ++k) {
+    const CVector v = eig.eigenvectors.col(k);
+    projector += outer(v, v);
+  }
+  std::vector<Complex> coeffs(2 * kOrder - 1);
+  for (std::size_t j = 0; j < kOrder; ++j) {
+    for (std::size_t i = 0; i < kOrder; ++i) {
+      coeffs[j + (kOrder - 1) - i] += projector(i, j);
+    }
+  }
+  return Polynomial(std::move(coeffs));
+}
+
+// Two double roots on the unit circle among 26 simple roots well inside it:
+// the shape that makes Durand-Kerner converge only linearly and stall just
+// above the tolerance.
+std::vector<Complex> unit_circle_double_roots() {
+  std::vector<Complex> roots;
+  for (const double angle : {0.7, -2.1}) {
+    roots.push_back(std::polar(1.0, angle));
+    roots.push_back(std::polar(1.0, angle));
+  }
+  for (std::size_t k = 0; roots.size() < 30; ++k) {
+    const double angle = 0.45 * static_cast<double>(k) + 0.2;
+    const double r = 0.3 + 0.01 * static_cast<double>(k);
+    roots.push_back(std::polar(r, angle));
+    roots.push_back(std::polar(0.9 * r, angle + 0.2));
+  }
+  return roots;
+}
+
+TEST(FindRoots, ConvergingCallsMatchTheLoopWithoutStallExitBitwise) {
+  // Iterations that reach the tolerance never meet the stagnation rule, so
+  // find_roots must return exactly what the loop without it returns.
+  std::vector<Polynomial> polys;
+  std::vector<Complex> separated;
+  for (std::size_t k = 0; k < 12; ++k) {
+    separated.push_back(std::polar(0.5 + 0.125 * static_cast<double>(k),
+                                   0.52 * static_cast<double>(k)));
+  }
+  polys.push_back(Polynomial::from_roots(separated));
+  for (unsigned seed = 1; seed <= 8; ++seed) {
+    polys.push_back(root_music_polynomial(0.1, seed));
+  }
+  for (std::size_t k = 0; k < polys.size(); ++k) {
+    std::size_t sweeps = 0;
+    const auto reference = sequential_dk(polys[k], false, sweeps);
+    EXPECT_LT(sweeps, 30 * polys[k].degree()) << "case " << k;
+    EXPECT_TRUE(bitwise_equal(find_roots(polys[k]), reference))
+        << "case " << k;
+  }
+}
+
+TEST(FindRoots, StalledCallsMatchSequentialHornerBitwise) {
+  // The batched Horner chains evaluate p(z_i) exactly as q.evaluate does,
+  // so with the same exit rule the roots are bit-identical even where the
+  // exit fires.
+  std::vector<Polynomial> polys{
+      Polynomial::from_roots(unit_circle_double_roots())};
+  for (unsigned seed = 1; seed <= 8; ++seed) {
+    polys.push_back(root_music_polynomial(1e-4, seed));
+  }
+  for (std::size_t k = 0; k < polys.size(); ++k) {
+    std::size_t sweeps = 0;
+    const auto reference = sequential_dk(polys[k], true, sweeps);
+    // Each case stalls: without the exit it runs to the sweep cap.
+    std::size_t uncapped = 0;
+    (void)sequential_dk(polys[k], false, uncapped);
+    EXPECT_EQ(uncapped, 30 * polys[k].degree()) << "case " << k;
+    EXPECT_LT(sweeps, uncapped) << "case " << k;
+    EXPECT_TRUE(bitwise_equal(find_roots(polys[k]), reference))
+        << "case " << k;
+  }
+}
+
+TEST(FindRoots, StalledDoubleRootsOnUnitCircleAreFound) {
+  const auto expected = unit_circle_double_roots();
+  expect_roots_match(expected,
+                     find_roots(Polynomial::from_roots(expected)), 1e-7);
 }
 
 class RootFindingProperty : public ::testing::TestWithParam<unsigned> {};
