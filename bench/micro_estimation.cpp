@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the estimation and DSP kernels:
 // per-update cost of RLS / LMS / Kalman, the paper's 118-step RLS holdover,
-// the per-epoch cost of root-MUSIC vs periodogram beat extraction, and the
-// root-MUSIC stages (covariance, Durand-Kerner rooting) on their own.
+// the per-epoch cost of root-MUSIC vs periodogram beat extraction, the
+// root-MUSIC stages (covariance, Durand-Kerner rooting) on their own, and one
+// whole periodogram radar epoch next to its baseband synthesis.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -15,6 +16,8 @@
 #include "estimation/rls.hpp"
 #include "estimation/rls_predictor.hpp"
 #include "linalg/polynomial.hpp"
+#include "radar/link_budget.hpp"
+#include "radar/processor.hpp"
 
 namespace {
 
@@ -162,6 +165,51 @@ void BM_Fft512Pad4096(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Fft512Pad4096);
+
+// A periodogram receiver and the two-echo scene (a target at 60 m and a
+// weaker one 6 m behind it) that platoon cut-ins and spoofers present.
+radar::RadarProcessorConfig periodogram_radar() {
+  radar::RadarProcessorConfig cfg;
+  cfg.estimator = radar::BeatEstimator::kPeriodogram;
+  cfg.noise_floor_w = radar::thermal_noise_power_w(cfg.waveform);
+  return cfg;
+}
+
+radar::EchoScene two_echo_scene(const radar::RadarProcessorConfig& cfg) {
+  radar::EchoScene scene;
+  for (const double distance : {60.0, 66.0}) {
+    scene.echoes.push_back(radar::EchoComponent{
+        .distance_m = units::Meters{distance},
+        .range_rate_mps = units::MetersPerSecond{-2.0},
+        .power_w = radar::received_echo_power_w(
+            cfg.waveform, units::Meters{distance}, 10.0),
+    });
+  }
+  scene.noise_power_w = cfg.noise_floor_w;
+  return scene;
+}
+
+// One receiver epoch: synthesis plus the up spectrum (coherence statistic
+// and up beat) and the down spectrum.
+void BM_RadarMeasurePeriodogram(benchmark::State& state) {
+  const auto cfg = periodogram_radar();
+  const auto scene = two_echo_scene(cfg);
+  radar::RadarProcessor processor(cfg, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(processor.measure(scene));
+  }
+}
+BENCHMARK(BM_RadarMeasurePeriodogram);
+
+void BM_RadarSynthesize(benchmark::State& state) {
+  const auto cfg = periodogram_radar();
+  const auto scene = two_echo_scene(cfg);
+  radar::RadarProcessor processor(cfg, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(processor.synthesize(scene));
+  }
+}
+BENCHMARK(BM_RadarSynthesize);
 
 }  // namespace
 

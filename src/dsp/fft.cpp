@@ -1,7 +1,11 @@
 #include "dsp/fft.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <mutex>
 #include <numbers>
 #include <stdexcept>
 
@@ -25,41 +29,64 @@ std::size_t next_bit_reversed(std::size_t j, std::size_t n) {
   return j ^ bit;
 }
 
-// Danielson-Lanczos butterflies over a bit-reversed buffer, from stage
-// `first_len` up to x.size().
-//
-// The arithmetic is the textbook loop's, operation for operation, on the
-// `double` view of the buffer ([complex.numbers] makes std::complex<double>
-// array-compatible with double[2]):
-//   - each product is re = ar*br - ai*bi, im = ar*bi + ai*br, which is what
-//     std::complex operator* returns for finite operands, without the libgcc
-//     __muldc3 call it makes for the NaN case;
-//   - a stage's twiddles come from the same w *= wlen recurrence, run once
-//     into a table rather than again inside every block.
-// The result is therefore bit-identical to the std::complex loop, provided
-// the compiler does not contract a*b - c*d into an FMA (x86-64 without
-// -march=native has no FMA to contract into).
-void butterflies(ComplexSignal& x, std::size_t first_len, bool inverse) {
-  const std::size_t n = x.size();
-  std::vector<double> twiddles(n);  // re/im pairs, n/2 for the last stage
-  double* const data = reinterpret_cast<double*>(x.data());
-  double* const tw = twiddles.data();
-  for (std::size_t len = first_len; len <= n; len <<= 1U) {
-    const std::size_t half = len / 2;
+// Twiddles of one butterfly stage: w_k = wlen^k for k < len / 2, as re/im
+// pairs, produced by the textbook loop's w *= wlen recurrence (each product
+// written out as re = ar*br - ai*bi, im = ar*bi + ai*br, which is what
+// std::complex operator* returns for finite operands). A stage's table
+// depends only on its length and direction, so each is built once per
+// process, on first use, and is immutable and shared by every thread
+// afterwards. The tables are never freed, so threads still transforming
+// during static destruction keep valid pointers.
+struct StageTwiddles {
+  std::once_flag built;
+  std::vector<double> values;  // len / 2 re/im pairs
+};
+
+const double* stage_twiddles(std::size_t len, bool inverse) {
+  // Indexed by direction and log2(len).
+  static auto* const tables = new std::array<
+      std::array<StageTwiddles, std::numeric_limits<std::size_t>::digits>,
+      2>();
+  StageTwiddles& t = (*tables)[inverse ? 1 : 0][static_cast<std::size_t>(
+      std::countr_zero(len))];
+  std::call_once(t.built, [&t, len, inverse] {
     const double angle = (inverse ? 2.0 : -2.0) * std::numbers::pi /
                          static_cast<double>(len);
     const Complex wlen = std::polar(1.0, angle);
     const double lr = wlen.real();
     const double li = wlen.imag();
+    t.values.resize(len);
     double wr = 1.0;
     double wi = 0.0;
-    for (std::size_t k = 0; k < half; ++k) {
-      tw[2 * k] = wr;
-      tw[2 * k + 1] = wi;
+    for (std::size_t k = 0; k < len / 2; ++k) {
+      t.values[2 * k] = wr;
+      t.values[2 * k + 1] = wi;
       const double next_r = wr * lr - wi * li;
       wi = wr * li + wi * lr;
       wr = next_r;
     }
+  });
+  return t.values.data();
+}
+
+// Danielson-Lanczos butterflies over a bit-reversed buffer, from stage
+// `first_len` up to x.size().
+//
+// The arithmetic is the textbook loop's, operation for operation, on the
+// `double` view of the buffer ([complex.numbers] makes std::complex<double>
+// array-compatible with double[2]): the products are written out as above,
+// without the libgcc __muldc3 call std::complex makes for the NaN case, and
+// a stage's twiddles are the table the recurrence filled rather than a
+// recurrence run again inside every block. The result is therefore
+// bit-identical to the std::complex loop, provided the compiler does not
+// contract a*b - c*d into an FMA (x86-64 without -march=native has no FMA
+// to contract into).
+void butterflies(ComplexSignal& x, std::size_t first_len, bool inverse) {
+  const std::size_t n = x.size();
+  double* const data = reinterpret_cast<double*>(x.data());
+  for (std::size_t len = first_len; len <= n; len <<= 1U) {
+    const std::size_t half = len / 2;
+    const double* const tw = stage_twiddles(len, inverse);
     for (std::size_t i = 0; i < n; i += len) {
       double* const top = data + 2 * i;
       double* const bottom = top + 2 * half;

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numbers>
 #include <stdexcept>
+#include <utility>
+
+#include "runtime/sync.hpp"
 
 namespace safe::dsp {
 
@@ -17,28 +21,48 @@ double bin_to_hz(double bin, std::size_t fft_size, double sample_rate_hz) {
   return f * sample_rate_hz;
 }
 
+/// make_window(kind, length), computed once per process per (kind, length)
+/// and shared by every thread. std::map never moves a node, so the returned
+/// reference outlives the lock; entries are never erased and the map is
+/// never freed, so it stays valid until exit.
+const RealSignal& cached_window(WindowKind kind, std::size_t length) {
+  static runtime::Mutex mutex;
+  static auto* const windows =
+      new std::map<std::pair<WindowKind, std::size_t>, RealSignal>();
+  runtime::MutexLock guard(mutex);
+  auto [it, inserted] = windows->try_emplace({kind, length});
+  if (inserted) it->second = make_window(kind, length);
+  return it->second;
+}
+
 }  // namespace
 
-std::vector<ToneEstimate> estimate_tones_periodogram(
-    const ComplexSignal& signal, double sample_rate_hz, std::size_t count,
-    const PeriodogramOptions& options) {
-  if (sample_rate_hz <= 0.0) {
-    throw std::invalid_argument("estimate_tones: sample rate must be > 0");
+Periodogram periodogram(const ComplexSignal& signal,
+                        const PeriodogramOptions& options) {
+  const RealSignal& window = cached_window(options.window, signal.size());
+  ComplexSignal windowed(signal.size());
+  for (std::size_t i = 0; i < signal.size(); ++i) {
+    windowed[i] = signal[i] * window[i];
   }
-  if (signal.empty() || count == 0) return {};
+  return Periodogram{
+      .power = power_spectrum(fft(windowed, options.min_fft_size)),
+      .signal_length = signal.size()};
+}
 
-  ComplexSignal windowed = signal;
-  apply_window(windowed, make_window(options.window, signal.size()));
-  const ComplexSignal spectrum = fft(windowed, options.min_fft_size);
-  const RealSignal power = power_spectrum(spectrum);
+std::vector<ToneEstimate> pick_tones(const Periodogram& spectrum,
+                                     double sample_rate_hz, std::size_t count,
+                                     bool parabolic_interpolation) {
+  const RealSignal& power = spectrum.power;
   const std::size_t n = power.size();
+  if (spectrum.signal_length == 0 || count == 0) return {};
 
   // Guard band: the padding factor blows one pre-padding bin up to
   // pad_factor bins, so suppress +-2*pad_factor around each accepted peak.
-  const std::size_t pad_factor = std::max<std::size_t>(1, n / signal.size());
+  const std::size_t pad_factor =
+      std::max<std::size_t>(1, n / spectrum.signal_length);
   const std::size_t guard = 2 * pad_factor;
 
-  std::vector<bool> masked(n, false);
+  std::vector<char> masked(n, 0);
   std::vector<ToneEstimate> tones;
   tones.reserve(count);
 
@@ -46,7 +70,7 @@ std::vector<ToneEstimate> estimate_tones_periodogram(
     std::size_t best = n;  // sentinel
     double best_power = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (!masked[i] && power[i] > best_power) {
+      if (power[i] > best_power && masked[i] == 0) {
         best_power = power[i];
         best = i;
       }
@@ -54,7 +78,7 @@ std::vector<ToneEstimate> estimate_tones_periodogram(
     if (best == n || best_power <= 0.0) break;
 
     double bin = static_cast<double>(best);
-    if (options.parabolic_interpolation) {
+    if (parabolic_interpolation) {
       const std::size_t prev = (best + n - 1) % n;
       const std::size_t next = (best + 1) % n;
       // Log-magnitude parabola through the three bins around the peak.
@@ -74,11 +98,32 @@ std::vector<ToneEstimate> estimate_tones_periodogram(
     });
 
     for (std::size_t off = 0; off <= guard; ++off) {
-      masked[(best + off) % n] = true;
-      masked[(best + n - off) % n] = true;
+      masked[(best + off) % n] = 1;
+      masked[(best + n - off) % n] = 1;
     }
   }
   return tones;
+}
+
+double peak_to_average(const Periodogram& spectrum) {
+  double peak = 0.0, sum = 0.0;
+  for (const double p : spectrum.power) {
+    peak = std::max(peak, p);
+    sum += p;
+  }
+  if (sum <= 0.0) return 0.0;
+  return peak / (sum / static_cast<double>(spectrum.power.size()));
+}
+
+std::vector<ToneEstimate> estimate_tones_periodogram(
+    const ComplexSignal& signal, double sample_rate_hz, std::size_t count,
+    const PeriodogramOptions& options) {
+  if (sample_rate_hz <= 0.0) {
+    throw std::invalid_argument("estimate_tones: sample rate must be > 0");
+  }
+  if (signal.empty() || count == 0) return {};
+  return pick_tones(periodogram(signal, options), sample_rate_hz, count,
+                    options.parabolic_interpolation);
 }
 
 std::optional<ToneEstimate> estimate_dominant_tone(
@@ -115,16 +160,7 @@ double mean_power(const ComplexSignal& signal) {
 double peak_to_average_power(const ComplexSignal& signal,
                              const PeriodogramOptions& options) {
   if (signal.empty()) return 0.0;
-  ComplexSignal windowed = signal;
-  apply_window(windowed, make_window(options.window, signal.size()));
-  const RealSignal power = power_spectrum(fft(windowed, options.min_fft_size));
-  double peak = 0.0, sum = 0.0;
-  for (const double p : power) {
-    peak = std::max(peak, p);
-    sum += p;
-  }
-  if (sum <= 0.0) return 0.0;
-  return peak / (sum / static_cast<double>(power.size()));
+  return peak_to_average(periodogram(signal, options));
 }
 
 }  // namespace safe::dsp

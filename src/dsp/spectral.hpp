@@ -25,12 +25,34 @@ struct PeriodogramOptions {
   bool parabolic_interpolation = true;
 };
 
-/// Estimates the `count` strongest tones of a complex baseband signal
-/// sampled at `sample_rate_hz` from its zero-padded windowed periodogram.
+/// Power spectrum |X[k]|^2 of a signal multiplied by its window and
+/// zero-padded to the FFT size: the one spectrum every periodogram statistic
+/// below reads.
+struct Periodogram {
+  RealSignal power;
+  std::size_t signal_length = 0;  ///< Samples before padding.
+};
+
+/// The windowed zero-padded power spectrum of `signal`.
+Periodogram periodogram(const ComplexSignal& signal,
+                        const PeriodogramOptions& options = {});
+
+/// The `count` strongest tones of a periodogram of a signal sampled at
+/// `sample_rate_hz`, strongest first.
 ///
 /// Peaks are greedily picked with a guard band of +-2 (pre-padding) bins so
 /// one physical tone is not reported twice. Returns fewer than `count`
 /// estimates when the spectrum has fewer distinct peaks.
+std::vector<ToneEstimate> pick_tones(const Periodogram& spectrum,
+                                     double sample_rate_hz, std::size_t count,
+                                     bool parabolic_interpolation = true);
+
+/// Ratio of the strongest bin to the average bin; 0 for an all-zero
+/// spectrum.
+double peak_to_average(const Periodogram& spectrum);
+
+/// pick_tones(periodogram(signal, options), ...): the `count` strongest
+/// tones of a complex baseband signal sampled at `sample_rate_hz`.
 std::vector<ToneEstimate> estimate_tones_periodogram(
     const ComplexSignal& signal, double sample_rate_hz, std::size_t count,
     const PeriodogramOptions& options = {});
@@ -49,9 +71,9 @@ double tone_power(const ComplexSignal& signal, double frequency_hz,
 /// Mean squared magnitude of the signal (total in-band power).
 double mean_power(const ComplexSignal& signal);
 
-/// Ratio of the strongest periodogram bin to the average bin; a coherence
-/// statistic that is large when a sinusoidal component is present and O(log N)
-/// for pure noise.
+/// peak_to_average(periodogram(signal, options)): a coherence statistic that
+/// is large when a sinusoidal component is present and O(log N) for pure
+/// noise.
 double peak_to_average_power(const ComplexSignal& signal,
                              const PeriodogramOptions& options = {});
 

@@ -90,12 +90,17 @@ RadarProcessor::Segments RadarProcessor::synthesize(const EchoScene& scene) {
   return seg;
 }
 
+double RadarProcessor::dominant_beat_hz(
+    const dsp::Periodogram& spectrum) const {
+  const auto tones =
+      dsp::pick_tones(spectrum, config_.sample_rate_hz.value(), 1);
+  return tones.empty() ? 0.0 : tones.front().frequency_hz;
+}
+
 double RadarProcessor::estimate_beat_hz(const ComplexSignal& segment,
                                         std::size_t num_components) const {
   if (config_.estimator == BeatEstimator::kPeriodogram) {
-    const auto tone =
-        dsp::estimate_dominant_tone(segment, config_.sample_rate_hz.value());
-    return tone ? tone->frequency_hz : 0.0;
+    return dominant_beat_hz(dsp::periodogram(segment));
   }
   const dsp::MusicOptions options{.covariance_order = config_.music_order,
                                   .forward_backward = true};
@@ -126,7 +131,10 @@ RadarMeasurement RadarProcessor::measure(const EchoScene& scene) {
 
   RadarMeasurement m;
   m.rx_power_w = 0.5 * (dsp::mean_power(seg.up) + dsp::mean_power(seg.down));
-  m.peak_to_average = dsp::peak_to_average_power(seg.up);
+  // One up-segment spectrum feeds both the coherence statistic and, on the
+  // periodogram estimator, the up beat.
+  const dsp::Periodogram up_spectrum = dsp::periodogram(seg.up);
+  m.peak_to_average = dsp::peak_to_average(up_spectrum);
   m.coherent_echo = m.peak_to_average > config_.coherence_threshold;
   m.power_alarm =
       m.rx_power_w > config_.power_alarm_factor * config_.noise_floor_w;
@@ -137,7 +145,10 @@ RadarMeasurement RadarProcessor::measure(const EchoScene& scene) {
   // receiver still produces (corrupted) measurements, which is precisely the
   // failure mode of Figures 2a/3a.
   const std::size_t components = std::max<std::size_t>(scene.echoes.size(), 1);
-  m.beats.up_hz = Hertz{estimate_beat_hz(seg.up, components)};
+  m.beats.up_hz =
+      Hertz{config_.estimator == BeatEstimator::kPeriodogram
+                ? dominant_beat_hz(up_spectrum)
+                : estimate_beat_hz(seg.up, components)};
   m.beats.down_hz = Hertz{estimate_beat_hz(seg.down, components)};
   m.estimate = range_rate_from_beats(config_.waveform, m.beats);
   return m;

@@ -12,6 +12,7 @@
 #include <optional>
 
 #include "dsp/fft.hpp"
+#include "dsp/spectral.hpp"
 #include "radar/echo_scene.hpp"
 #include "radar/fmcw.hpp"
 #include "sim/noise.hpp"
@@ -77,6 +78,9 @@ class RadarProcessor {
   [[nodiscard]] const RadarProcessorConfig& config() const { return config_; }
 
  private:
+  /// Strongest tone of a segment's periodogram (0 when there is none).
+  double dominant_beat_hz(const dsp::Periodogram& spectrum) const;
+
   /// Estimates the dominant beat frequency of one segment, ranking
   /// root-MUSIC candidates by their coherent power.
   double estimate_beat_hz(const dsp::ComplexSignal& segment,

@@ -39,12 +39,21 @@ SessionErrorKind classify(StreamFailure failure) {
   return SessionErrorKind::kIncompleteStream;
 }
 
-/// Byte-compares received estimate frames against the offline reference.
-/// Returns the mismatch count (0 = verified).
+/// The offline reference for a trace, encoded as the server would send it.
+std::vector<std::vector<std::uint8_t>> encoded_reference(
+    const TraceSpec& spec, const std::vector<MeasurementFrame>& trace) {
+  std::vector<std::vector<std::uint8_t>> reference;
+  for (const EstimateFrame& frame : run_offline(spec, trace)) {
+    reference.push_back(encode(frame));
+  }
+  return reference;
+}
+
+/// Byte-compares received estimate frames against the encoded offline
+/// reference. Returns the mismatch count (0 = verified).
 std::uint64_t count_mismatches(
-    const TraceSpec& spec, const std::vector<MeasurementFrame>& trace,
+    const std::vector<std::vector<std::uint8_t>>& reference,
     const std::vector<std::vector<std::uint8_t>>& estimate_frames) {
-  const std::vector<EstimateFrame> reference = run_offline(spec, trace);
   if (reference.size() != estimate_frames.size()) {
     return reference.size() > estimate_frames.size()
                ? reference.size() - estimate_frames.size()
@@ -52,9 +61,28 @@ std::uint64_t count_mismatches(
   }
   std::uint64_t mismatches = 0;
   for (std::size_t i = 0; i < reference.size(); ++i) {
-    if (encode(reference[i]) != estimate_frames[i]) ++mismatches;
+    if (reference[i] != estimate_frames[i]) ++mismatches;
   }
   return mismatches;
+}
+
+/// Runs body(index) for every index below `count` on `workers` threads,
+/// each thread taking the next unclaimed index.
+template <typename Body>
+void for_each_index(std::size_t workers, std::size_t count, const Body& body) {
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    threads.emplace_back([&] {
+      for (std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
+           index < count;
+           index = next.fetch_add(1, std::memory_order_relaxed)) {
+        body(index);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
 }
 
 }  // namespace
@@ -89,7 +117,6 @@ LoadReport run_load(const LoadOptions& options) {
 
   std::mutex merge_mutex;
   std::vector<std::uint64_t> all_latencies;
-  std::atomic<std::size_t> next_session{0};
   const std::size_t workers = std::min(options.connections, options.sessions);
 
   // Counts the failure under its kind; `failed` distinguishes a failed
@@ -109,161 +136,170 @@ LoadReport run_load(const LoadOptions& options) {
     }
   };
 
+  // Each session's trace and, with verify, its offline reference are made
+  // before the clock starts, so the timed window holds only served traffic.
+  struct PreparedSession {
+    TraceSpec spec;
+    std::vector<MeasurementFrame> trace;
+    std::vector<std::vector<std::uint8_t>> reference;
+    bool ready = false;
+  };
+  std::vector<PreparedSession> prepared(options.sessions);
+  for_each_index(workers, options.sessions, [&](std::size_t index) {
+    PreparedSession& session = prepared[index];
+    session.spec = options.spec;
+    session.spec.seed = runtime::derive_seed(
+        options.master_seed, runtime::SeedStream::kScenario,
+        static_cast<std::uint64_t>(index));
+    try {
+      session.trace = make_measurement_trace(session.spec);
+    } catch (const std::exception& e) {
+      record_error(index, SessionErrorKind::kTraceGeneration, e.what());
+      return;
+    }
+    if (options.verify) {
+      session.reference = encoded_reference(session.spec, session.trace);
+    }
+    session.ready = true;
+  });
+
   const std::uint64_t start_ns = telemetry::now_ns();
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&] {
-      while (true) {
-        const std::size_t index =
-            next_session.fetch_add(1, std::memory_order_relaxed);
-        if (index >= options.sessions) return;
+  for_each_index(workers, options.sessions, [&](std::size_t index) {
+    const PreparedSession& session = prepared[index];
+    if (!session.ready) return;
+    const TraceSpec& spec = session.spec;
+    const std::vector<MeasurementFrame>& trace = session.trace;
+    const std::string client_id = "loadgen-" + std::to_string(index);
 
-        TraceSpec spec = options.spec;
-        spec.seed = runtime::derive_seed(options.master_seed,
-                                         runtime::SeedStream::kScenario,
-                                         static_cast<std::uint64_t>(index));
-        const std::string client_id =
-            "loadgen-" + std::to_string(index);
-        std::vector<MeasurementFrame> trace;
-        try {
-          trace = make_measurement_trace(spec);
-        } catch (const std::exception& e) {
-          record_error(index, SessionErrorKind::kTraceGeneration, e.what());
-          continue;
-        }
+    if (options.retry_attempts > 0) {
+      RetryPolicy policy = options.retry;
+      policy.max_attempts = options.retry_attempts;
+      policy.jitter_seed = runtime::derive_seed(
+          options.master_seed, runtime::SeedStream::kRetry,
+          static_cast<std::uint64_t>(index));
+      ResilientClient resilient(options.host, options.port, policy);
+      const ResilientResult result =
+          resilient.run(spec, client_id, trace, options.deadline_ns);
 
-        if (options.retry_attempts > 0) {
-          RetryPolicy policy = options.retry;
-          policy.max_attempts = options.retry_attempts;
-          policy.jitter_seed = runtime::derive_seed(
-              options.master_seed, runtime::SeedStream::kRetry,
-              static_cast<std::uint64_t>(index));
-          ResilientClient resilient(options.host, options.port, policy);
-          const ResilientResult result =
-              resilient.run(spec, client_id, trace, options.deadline_ns);
-
-          std::uint64_t mismatches = 0;
-          if (options.verify && result.complete) {
-            mismatches = count_mismatches(spec, trace, result.estimate_frames);
-          }
-          {
-            std::lock_guard<std::mutex> guard(merge_mutex);
-            report.frames_sent += trace.size();
-            report.estimates_received += result.estimates.size();
-            report.challenges_received += result.challenges.size();
-            report.verify_mismatched_frames += mismatches;
-            if (options.verify && result.complete && mismatches == 0) {
-              ++report.sessions_verified;
-            }
-            if (result.complete) ++report.sessions_completed;
-            report.reconnects += result.reconnects;
-            report.resumes += result.resumes;
-            report.restarts += result.restarts;
-            report.overload_backoffs += result.overload_backoffs;
-            report.duplicates_discarded += result.duplicates_discarded;
-            report.replayed_frames += result.replayed_frames;
-            all_latencies.insert(all_latencies.end(),
-                                 result.latencies_ns.begin(),
-                                 result.latencies_ns.end());
-          }
-          if (!result.complete) {
-            record_error(index, classify(result.failure),
-                         std::string(to_string(result.failure)) +
-                             (result.failure_detail.empty()
-                                  ? ""
-                                  : ": " + result.failure_detail));
-          } else if (mismatches != 0) {
-            record_error(index, SessionErrorKind::kVerifyMismatch,
-                         std::to_string(mismatches) +
-                             " estimate frames differ from offline reference",
-                         /*failed=*/false);
-          }
-          continue;
-        }
-
-        SessionClient client;
-        try {
-          client.connect(options.host, options.port);
-        } catch (const std::exception& e) {
-          record_error(index, SessionErrorKind::kConnectRefused, e.what());
-          continue;
-        }
-        const SessionClient::OpenReply open =
-            client.open_session(hello_from(spec, client_id),
-                                options.deadline_ns);
-        if (!open.ok) {
-          SessionErrorKind kind = SessionErrorKind::kHandshakeRejected;
-          std::string why;
-          if (open.has_error) {
-            why = open.error.message;
-          } else if (!open.transport_error.empty()) {
-            kind = SessionErrorKind::kTransport;
-            why = open.transport_error;
-          } else {
-            if (open.status.code == StatusCode::kOverloaded) {
-              kind = SessionErrorKind::kOverloaded;
-            }
-            why = std::string(to_string(open.status.code)) + ": " +
-                  open.status.message;
-          }
-          record_error(index, kind, "handshake failed: " + why);
-          continue;
-        }
-
-        SessionClient::StreamResult stream =
-            client.stream(trace, options.deadline_ns);
-        std::uint64_t mismatches = 0;
-        std::size_t verified = 0;
-        if (options.verify && stream.complete) {
-          mismatches = count_mismatches(spec, trace, stream.estimate_frames);
-          if (mismatches == 0) verified = 1;
-        }
-
-        {
-          std::lock_guard<std::mutex> guard(merge_mutex);
-          report.frames_sent += trace.size();
-          report.estimates_received += stream.estimates.size();
-          report.challenges_received += stream.challenges.size();
-          report.verify_mismatched_frames += mismatches;
-          report.sessions_verified += verified;
-          all_latencies.insert(all_latencies.end(),
-                               stream.latencies_ns.begin(),
-                               stream.latencies_ns.end());
-          if (stream.complete) ++report.sessions_completed;
-        }
-        if (stream.complete) {
-          if (mismatches != 0) {
-            record_error(index, SessionErrorKind::kVerifyMismatch,
-                         std::to_string(mismatches) +
-                             " estimate frames differ from offline reference",
-                         /*failed=*/false);
-          }
-        } else {
-          SessionErrorKind kind = SessionErrorKind::kIncompleteStream;
-          std::string why = stream.transport_error;
-          if (!why.empty()) {
-            kind = why.find("timed out") != std::string::npos
-                       ? SessionErrorKind::kDeadlineExceeded
-                       : SessionErrorKind::kTransport;
-          } else if (stream.error.has_value()) {
-            kind = SessionErrorKind::kServerError;
-            why = "server ERROR: " + stream.error->message;
-          } else if (stream.status.has_value()) {
-            kind = stream.status->code == StatusCode::kOverloaded
-                       ? SessionErrorKind::kOverloaded
-                       : SessionErrorKind::kServerStatus;
-            why = std::string("server STATUS ") +
-                  to_string(stream.status->code) + ": " +
-                  stream.status->message;
-          }
-          if (why.empty()) why = "incomplete stream";
-          record_error(index, kind, why);
-        }
+      std::uint64_t mismatches = 0;
+      if (options.verify && result.complete) {
+        mismatches =
+            count_mismatches(session.reference, result.estimate_frames);
       }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
+      {
+        std::lock_guard<std::mutex> guard(merge_mutex);
+        report.frames_sent += trace.size();
+        report.estimates_received += result.estimates.size();
+        report.challenges_received += result.challenges.size();
+        report.verify_mismatched_frames += mismatches;
+        if (options.verify && result.complete && mismatches == 0) {
+          ++report.sessions_verified;
+        }
+        if (result.complete) ++report.sessions_completed;
+        report.reconnects += result.reconnects;
+        report.resumes += result.resumes;
+        report.restarts += result.restarts;
+        report.overload_backoffs += result.overload_backoffs;
+        report.duplicates_discarded += result.duplicates_discarded;
+        report.replayed_frames += result.replayed_frames;
+        all_latencies.insert(all_latencies.end(),
+                             result.latencies_ns.begin(),
+                             result.latencies_ns.end());
+      }
+      if (!result.complete) {
+        record_error(index, classify(result.failure),
+                     std::string(to_string(result.failure)) +
+                         (result.failure_detail.empty()
+                              ? ""
+                              : ": " + result.failure_detail));
+      } else if (mismatches != 0) {
+        record_error(index, SessionErrorKind::kVerifyMismatch,
+                     std::to_string(mismatches) +
+                         " estimate frames differ from offline reference",
+                     /*failed=*/false);
+      }
+      return;
+    }
+
+    SessionClient client;
+    try {
+      client.connect(options.host, options.port);
+    } catch (const std::exception& e) {
+      record_error(index, SessionErrorKind::kConnectRefused, e.what());
+      return;
+    }
+    const SessionClient::OpenReply open =
+        client.open_session(hello_from(spec, client_id),
+                            options.deadline_ns);
+    if (!open.ok) {
+      SessionErrorKind kind = SessionErrorKind::kHandshakeRejected;
+      std::string why;
+      if (open.has_error) {
+        why = open.error.message;
+      } else if (!open.transport_error.empty()) {
+        kind = SessionErrorKind::kTransport;
+        why = open.transport_error;
+      } else {
+        if (open.status.code == StatusCode::kOverloaded) {
+          kind = SessionErrorKind::kOverloaded;
+        }
+        why = std::string(to_string(open.status.code)) + ": " +
+              open.status.message;
+      }
+      record_error(index, kind, "handshake failed: " + why);
+      return;
+    }
+
+    SessionClient::StreamResult stream =
+        client.stream(trace, options.deadline_ns);
+    std::uint64_t mismatches = 0;
+    std::size_t verified = 0;
+    if (options.verify && stream.complete) {
+      mismatches = count_mismatches(session.reference, stream.estimate_frames);
+      if (mismatches == 0) verified = 1;
+    }
+
+    {
+      std::lock_guard<std::mutex> guard(merge_mutex);
+      report.frames_sent += trace.size();
+      report.estimates_received += stream.estimates.size();
+      report.challenges_received += stream.challenges.size();
+      report.verify_mismatched_frames += mismatches;
+      report.sessions_verified += verified;
+      all_latencies.insert(all_latencies.end(),
+                           stream.latencies_ns.begin(),
+                           stream.latencies_ns.end());
+      if (stream.complete) ++report.sessions_completed;
+    }
+    if (stream.complete) {
+      if (mismatches != 0) {
+        record_error(index, SessionErrorKind::kVerifyMismatch,
+                     std::to_string(mismatches) +
+                         " estimate frames differ from offline reference",
+                     /*failed=*/false);
+      }
+    } else {
+      SessionErrorKind kind = SessionErrorKind::kIncompleteStream;
+      std::string why = stream.transport_error;
+      if (!why.empty()) {
+        kind = why.find("timed out") != std::string::npos
+                   ? SessionErrorKind::kDeadlineExceeded
+                   : SessionErrorKind::kTransport;
+      } else if (stream.error.has_value()) {
+        kind = SessionErrorKind::kServerError;
+        why = "server ERROR: " + stream.error->message;
+      } else if (stream.status.has_value()) {
+        kind = stream.status->code == StatusCode::kOverloaded
+                   ? SessionErrorKind::kOverloaded
+                   : SessionErrorKind::kServerStatus;
+        why = std::string("server STATUS ") +
+              to_string(stream.status->code) + ": " +
+              stream.status->message;
+      }
+      if (why.empty()) why = "incomplete stream";
+      record_error(index, kind, why);
+    }
+  });
   report.elapsed_ns = telemetry::now_ns() - start_ns;
 
   std::sort(all_latencies.begin(), all_latencies.end());

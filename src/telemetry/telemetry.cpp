@@ -108,6 +108,8 @@ struct Registry {
   /// afterwards — so record() reads bounds with no lock (hot path).
   std::array<HistogramRegistration, kMaxHistograms> histogram_bounds = {};
   std::vector<std::unique_ptr<Shard>> shards;
+  /// Shards of exited threads, free for the next new thread.
+  std::vector<Shard*> free_shards SAFE_GUARDED_BY(mutex);
   std::uint64_t next_tid = 1;
 };
 
@@ -116,15 +118,57 @@ Registry& registry() {
   return *r;
 }
 
-Shard& local_shard() {
-  thread_local Shard* shard = [] {
+/// The calling thread's shard; null until its first recording call.
+thread_local Shard* t_shard = nullptr;
+
+/// A new thread takes an exited thread's shard when one is free. Merges are
+/// sums, maxima and bucket counts over every shard, so the shard's old values
+/// count exactly as if they sat in a shard of their own. It gets a fresh tid,
+/// as a fresh shard would.
+Shard* acquire_shard() {
+  Registry& r = registry();
+  runtime::MutexLock guard(r.mutex);
+  Shard* shard = nullptr;
+  if (r.free_shards.empty()) {
+    r.shards.push_back(std::make_unique<Shard>());
+    shard = r.shards.back().get();
+  } else {
+    shard = r.free_shards.back();
+    r.free_shards.pop_back();
+  }
+  shard->tid = r.next_tid++;
+  return shard;
+}
+
+/// At thread exit, frees the thread's shard for reuse unless it holds trace
+/// events: those carry the shard's tid, which must stay the exited thread's.
+/// Its thread name goes with it, since it names no event.
+struct ShardRelease {
+  ShardRelease() = default;
+  ShardRelease(const ShardRelease&) = delete;
+  ShardRelease& operator=(const ShardRelease&) = delete;
+  ~ShardRelease() {
+    Shard* const shard = std::exchange(t_shard, nullptr);
     Registry& r = registry();
     runtime::MutexLock guard(r.mutex);
-    r.shards.push_back(std::make_unique<Shard>());
-    r.shards.back()->tid = r.next_tid++;
-    return r.shards.back().get();
-  }();
-  return *shard;
+    {
+      runtime::MutexLock trace_guard(shard->trace_mutex);
+      if (!shard->events.empty() || shard->dropped_events != 0) return;
+      shard->thread_name.clear();
+    }
+    r.free_shards.push_back(shard);
+  }
+};
+
+Shard& local_shard() {
+  if (t_shard == nullptr) {
+    t_shard = acquire_shard();
+    // Registers the exit hook once per thread. A recording call made after
+    // the hook ran (from a later thread_local destructor) takes a shard that
+    // is never freed: kept in the roster, so still counted.
+    thread_local ShardRelease release;
+  }
+  return *t_shard;
 }
 
 std::uint64_t double_bits(double v) {
@@ -707,6 +751,12 @@ void write_chrome_trace(std::ostream& out) {
   json += "}\n";
   out << json;
   out.flush();
+}
+
+std::size_t shard_count_for_testing() {
+  Registry& r = registry();
+  runtime::MutexLock guard(r.mutex);
+  return r.shards.size();
 }
 
 void reset_for_testing() {

@@ -10,6 +10,9 @@
 //   * Lock-free per-thread shards. Each thread owns a fixed-capacity shard of
 //     relaxed-atomic slots; only the owner writes, so collectors can read
 //     live values (the campaign_cli --progress path) without data races.
+//     An exited thread's shard, values and all, passes to the next new
+//     thread unless it holds trace events, so a process that keeps starting
+//     short-lived threads keeps a bounded roster.
 //   * Deterministic merge. Shards merge with commutative, order-independent
 //     reductions only: integer sums for counters and bucket counts, exact
 //     min/max for histogram extremes. No floating-point accumulation whose
@@ -26,6 +29,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -217,5 +221,8 @@ void write_chrome_trace(std::ostream& out);
 /// registrations (call-site static MetricIds stay valid). Only call while no
 /// other thread is recording.
 void reset_for_testing();
+
+/// Number of shards in the roster: live threads' plus retired ones'.
+[[nodiscard]] std::size_t shard_count_for_testing();
 
 }  // namespace safe::telemetry

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <numbers>
 #include <random>
+#include <thread>
+#include <vector>
 
 #include "dsp/fft.hpp"
 #include "dsp/spectral.hpp"
@@ -230,6 +232,46 @@ TEST(Fft, InPlaceIsBitIdenticalToTextbookLoop) {
     ifft_inplace(fast);
     reference_fft(ref, /*inverse=*/true);
     EXPECT_TRUE(bitwise_equal(fast, ref)) << "inverse, n = " << n;
+  }
+}
+
+TEST(Fft, ConcurrentTransformsAreBitIdenticalToTextbookLoop) {
+  // Four threads transform every size at once, in different orders and
+  // alternating directions, so the shared twiddle tables are built while
+  // other threads read them.
+  constexpr std::size_t kSizes = 14;  // 1 ... 8192
+  std::vector<ComplexSignal> inputs;
+  std::vector<ComplexSignal> forward;
+  std::vector<ComplexSignal> inverse;
+  for (std::size_t s = 0; s < kSizes; ++s) {
+    const std::size_t n = std::size_t{1} << s;
+    inputs.push_back(random_signal(n, static_cast<unsigned>(n + 7)));
+    forward.push_back(inputs.back());
+    reference_fft(forward.back(), /*inverse=*/false);
+    inverse.push_back(inputs.back());
+    reference_fft(inverse.back(), /*inverse=*/true);
+  }
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < 2 * kSizes; ++i) {
+        const std::size_t s = (t % 2 == 0 ? i : 2 * kSizes - 1 - i) / 2;
+        const bool inv = (i + t) % 2 == 1;
+        ComplexSignal x = inputs[s];
+        if (inv) {
+          ifft_inplace(x);
+        } else {
+          fft_inplace(x);
+        }
+        if (!bitwise_equal(x, inv ? inverse[s] : forward[s])) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0U) << "thread " << t;
   }
 }
 

@@ -1,7 +1,11 @@
 // End-to-end tests of the radar signal path: scene -> baseband -> estimate.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+
+#include "dsp/spectral.hpp"
 
 #include "radar/echo_scene.hpp"
 #include "radar/link_budget.hpp"
@@ -176,6 +180,52 @@ TEST(RadarProcessor, DeterministicGivenSeed) {
   EXPECT_EQ(ma.estimate.distance_m.value(), mb.estimate.distance_m.value());
   EXPECT_EQ(ma.estimate.range_rate_mps.value(),
             mb.estimate.range_rate_mps.value());
+}
+
+TEST(RadarProcessor, PeriodogramMeasureEqualsItsPublicComposition) {
+  // measure() reads one up-segment spectrum for both the coherence
+  // statistic and the up beat; the result must equal, bit for bit, the
+  // public one-call estimators applied to the same synthesized segments.
+  const auto cfg = test_config(BeatEstimator::kPeriodogram);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const double fs = cfg.sample_rate_hz.value();
+  const auto beat = [fs](const dsp::ComplexSignal& segment) {
+    const auto tone = dsp::estimate_dominant_tone(segment, fs);
+    return tone ? tone->frequency_hz : 0.0;
+  };
+  EchoScene two_echoes = target_scene(60.0, -2.0, cfg);
+  two_echoes.echoes.push_back(target_scene(66.0, -2.0, cfg, 3.0).echoes[0]);
+  EchoScene noise_only;
+  noise_only.noise_power_w = cfg.noise_floor_w;
+
+  RadarProcessor measured(cfg, 53);
+  RadarProcessor composed(cfg, 53);
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    const EchoScene& scene = epoch % 3 == 2 ? noise_only : two_echoes;
+    const RadarMeasurement m = measured.measure(scene);
+    const RadarProcessor::Segments seg = composed.synthesize(scene);
+    const double rx_power_w =
+        0.5 * (dsp::mean_power(seg.up) + dsp::mean_power(seg.down));
+    BeatFrequencies beats;
+    beats.up_hz = units::Hertz{beat(seg.up)};
+    beats.down_hz = units::Hertz{beat(seg.down)};
+    const RangeRate estimate = range_rate_from_beats(cfg.waveform, beats);
+
+    EXPECT_EQ(bits(m.rx_power_w), bits(rx_power_w)) << "epoch " << epoch;
+    EXPECT_EQ(bits(m.peak_to_average),
+              bits(dsp::peak_to_average_power(seg.up)))
+        << "epoch " << epoch;
+    EXPECT_EQ(bits(m.beats.up_hz.value()), bits(beats.up_hz.value()))
+        << "epoch " << epoch;
+    EXPECT_EQ(bits(m.beats.down_hz.value()), bits(beats.down_hz.value()))
+        << "epoch " << epoch;
+    EXPECT_EQ(bits(m.estimate.distance_m.value()),
+              bits(estimate.distance_m.value()))
+        << "epoch " << epoch;
+    EXPECT_EQ(bits(m.estimate.range_rate_mps.value()),
+              bits(estimate.range_rate_mps.value()))
+        << "epoch " << epoch;
+  }
 }
 
 // Accuracy sweep across the radar's specified range window.

@@ -3,9 +3,11 @@
 // (non-finite values, key escaping), structural validity of the exported
 // Chrome trace, and the load-bearing property that merged deterministic
 // metrics are identical at --jobs 1 and --jobs 4.
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -229,6 +231,64 @@ TEST_F(TelemetryTest, CounterSumsAcrossThreads) {
   for (auto& t : threads) t.join();
   // Retired threads' shards stay visible to the merged sum.
   EXPECT_EQ(tm::counter_value(id), kThreads * kPerThread);
+}
+
+TEST_F(TelemetryTest, ShortLivedThreadsReuseShardsAndKeepEveryCount) {
+  const tm::MetricId count = tm::counter("test.short_lived");
+  const tm::MetricId peak = tm::gauge_max("test.short_lived_peak");
+  const tm::MetricId hist = tm::histogram("test.short_lived_hist", {50.0});
+  const std::size_t shards_before = tm::shard_count_for_testing();
+  constexpr int kThreads = 100;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([&, i] {
+      tm::add(count, 2);
+      tm::gauge_update_max(peak, static_cast<double>(i));
+      tm::record(hist, static_cast<double>(i));
+    }).join();
+  }
+  // Each thread exits before the next starts, so all reuse one shard.
+  EXPECT_LE(tm::shard_count_for_testing(), shards_before + 1);
+
+  EXPECT_EQ(tm::counter_value(count), 2U * kThreads);
+  const tm::MetricsSnapshot snap = tm::collect_metrics();
+  const auto find = [&](const std::string& name) {
+    return std::find_if(
+        snap.metrics.begin(), snap.metrics.end(),
+        [&](const tm::MetricSnapshot& m) { return m.name == name; });
+  };
+  const auto g = find("test.short_lived_peak");
+  ASSERT_NE(g, snap.metrics.end());
+  EXPECT_EQ(g->gauge, kThreads - 1.0);
+  const auto h = find("test.short_lived_hist");
+  ASSERT_NE(h, snap.metrics.end());
+  EXPECT_EQ(h->hist.count, static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(h->hist.min, 0.0);
+  EXPECT_EQ(h->hist.max, kThreads - 1.0);
+  ASSERT_EQ(h->hist.bucket_counts.size(), 2U);
+  EXPECT_EQ(h->hist.bucket_counts[0], 51U);
+  EXPECT_EQ(h->hist.bucket_counts[1], 49U);
+}
+
+TEST_F(TelemetryTest, ShardsHoldingTraceEventsAreNotReused) {
+  tm::set_tracing_enabled(true);
+  for (int i = 0; i < 3; ++i) {
+    std::thread([] {
+      tm::instant_event("test.retired_event", "test");
+    }).join();
+  }
+  tm::set_tracing_enabled(false);
+  // Had a later thread taken an earlier one's shard, the earlier event would
+  // carry the later thread's tid. Each keeps its own.
+  std::ostringstream out;
+  tm::write_chrome_trace(out);
+  std::set<std::string> tids;
+  const std::string trace = out.str();
+  for (std::size_t at = trace.find("test.retired_event");
+       at != std::string::npos; at = trace.find("test.retired_event", at + 1)) {
+    const std::size_t tid = trace.find("\"tid\":", at);
+    tids.insert(trace.substr(tid, trace.find(',', tid) - tid));
+  }
+  EXPECT_EQ(tids.size(), 3U);
 }
 
 TEST_F(TelemetryTest, HistogramBucketsMinMaxAndOverflow) {
