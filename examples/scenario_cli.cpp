@@ -201,8 +201,8 @@ int main(int argc, char** argv) {
       } else if (v == "delay") {
         options.attack = core::AttackKind::kDelayInjection;
       } else {
-        const attack::SpecCheck check = attack::check_attack_spec(v);
-        if (check.status != attack::SpecStatus::kOk) {
+        const spec::Check check = attack::check_attack_spec(v);
+        if (!check.ok()) {
           std::cerr << check.message << "\n"
                     << attack::attack_spec_help() << "\n";
           return 2;
@@ -281,8 +281,8 @@ int main(int argc, char** argv) {
   if (hardened) options.pipeline = core::hardened_pipeline_options(max_holdover);
   // After the hardened profile so --detector composes with --hardened.
   if (!detector_spec.empty()) {
-    const detect::SpecCheck check = detect::check_detector_spec(detector_spec);
-    if (check.status != detect::SpecStatus::kOk) {
+    const spec::Check check = detect::check_detector_spec(detector_spec);
+    if (!check.ok()) {
       std::cerr << check.message << "\n" << detect::detector_spec_help()
                 << "\n";
       return 2;
@@ -290,9 +290,8 @@ int main(int argc, char** argv) {
     options.pipeline.detector_spec = detector_spec;
   }
   if (!options.platoon_spec.empty()) {
-    const platoon::SpecCheck check =
-        platoon::check_platoon_spec(options.platoon_spec);
-    if (!check.ok) {
+    const spec::Check check = platoon::check_platoon_spec(options.platoon_spec);
+    if (!check.ok()) {
       std::cerr << check.message << "\n" << platoon::platoon_spec_help()
                 << "\n";
       return 2;

@@ -12,11 +12,12 @@
 //   "chirp:slope=1.00000000002,offset=12" slope-mismatched rogue radar
 //   "entrain:acquire=3,replay=0,leak=15"  entrained perfect challenge replay
 //
-// An empty spec (or "none") selects no attack. Parsing throws
-// std::invalid_argument only; check_attack_spec() offers the non-throwing
-// form and distinguishes a grammar error from a well-formed spec naming an
-// unknown kind. Both share one implementation, so the checker and the
-// builder always agree (the fuzz harness cross-checks them).
+// An empty spec (or "none") selects no attack. The grammar, its value rules
+// and the Check result are the spec kernel's (spec/grammar.hpp). Parsing
+// throws std::invalid_argument only; check_attack_spec() is the
+// non-throwing form and tells a grammar error from a well-formed spec
+// naming an unknown kind. Both share one implementation, so the checker
+// and the builder always agree (the fuzz harness cross-checks them).
 #pragma once
 
 #include <cstdint>
@@ -25,22 +26,12 @@
 
 #include "attack/attack.hpp"
 #include "radar/link_budget.hpp"
+#include "spec/grammar.hpp"
 
 namespace safe::attack {
 
-enum class SpecStatus {
-  kOk = 0,
-  kMalformed,    ///< grammar error, bad value, or unknown key
-  kUnknownKind,  ///< well-formed, but the attack kind is not registered
-};
-
-struct SpecCheck {
-  SpecStatus status = SpecStatus::kOk;
-  std::string message;  ///< empty on kOk
-};
-
 /// Validates a spec without building anything (and without throwing).
-[[nodiscard]] SpecCheck check_attack_spec(const std::string& spec);
+[[nodiscard]] spec::Check check_attack_spec(const std::string& spec);
 
 /// Builds the attack a spec names, or nullptr for ""/"none". A bare "dos"
 /// inherits `jammer_defaults` (the scenario's jammer link budget), so the

@@ -21,9 +21,9 @@ void validate(const ScenarioOptions& options) {
         std::to_string(options.horizon_steps));
   }
   if (attack::attack_spec_enabled(options.attack_spec)) {
-    const attack::SpecCheck check =
+    const spec::Check check =
         attack::check_attack_spec(options.attack_spec);
-    if (check.status != attack::SpecStatus::kOk) {
+    if (!check.ok()) {
       throw std::invalid_argument("ScenarioOptions: " + check.message);
     }
   }

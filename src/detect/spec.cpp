@@ -1,9 +1,5 @@
 #include "detect/spec.hpp"
 
-#include <cctype>
-#include <map>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -13,323 +9,136 @@ namespace safe::detect {
 
 namespace {
 
-/// A grammar-level parse: backend name plus raw key/value pairs. Building
-/// this never consults the backend registry, which is what lets the checker
-/// distinguish "malformed" from "well-formed but unknown backend".
-struct ParsedSpec {
-  std::string backend;
-  std::map<std::string, std::string> params;
-};
-
-/// Used by the internal builder to report instead of throwing.
+/// The builder's outcome; `detector` stays null when only checking.
 struct BuildResult {
-  SpecCheck check;
+  spec::Check check;
   DetectorBackendPtr detector;
 };
 
-SpecCheck malformed(std::string message) {
-  return SpecCheck{SpecStatus::kMalformed, std::move(message)};
-}
-
-SpecCheck unknown_backend(const std::string& name) {
-  return SpecCheck{SpecStatus::kUnknownBackend,
-                   "detector spec: unknown backend `" + name +
-                       "` (cra, chi2, ar, fusion)"};
-}
-
-bool valid_name(const std::string& name) {
-  if (name.empty()) return false;
-  for (const char c : name) {
-    if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '_') {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Grammar parse only. Returns kOk/kMalformed; never kUnknownBackend.
-SpecCheck parse_grammar(const std::string& spec, ParsedSpec& out) {
-  const auto colon = spec.find(':');
-  out.backend = spec.substr(0, colon);
-  if (!valid_name(out.backend)) {
-    return malformed("detector spec: bad backend name in `" + spec + "`");
-  }
-  if (colon == std::string::npos) return {};
-
-  const std::string body = spec.substr(colon + 1);
-  std::stringstream ss(body);
-  std::string token;
-  while (std::getline(ss, token, ',')) {
-    if (token.empty()) continue;
-    const auto eq = token.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-      return malformed("detector spec: bad token `" + token + "` in `" +
-                       spec + "`");
-    }
-    const std::string key = token.substr(0, eq);
-    if (!valid_name(key)) {
-      return malformed("detector spec: bad key `" + key + "` in `" + spec +
-                       "`");
-    }
-    if (!out.params.emplace(key, token.substr(eq + 1)).second) {
-      return malformed("detector spec: duplicate key `" + key + "` in `" +
-                       spec + "`");
-    }
-  }
-  return {};
-}
-
-/// Typed parameter extraction over the raw map; each take_* consumes its
-/// key so leftovers can be rejected as unknown.
-class Params {
- public:
-  explicit Params(std::map<std::string, std::string> params)
-      : params_(std::move(params)) {}
-
-  bool take_number(const std::string& key, double& out, SpecCheck& check) {
-    const auto it = params_.find(key);
-    if (it == params_.end()) return true;
-    try {
-      std::size_t consumed = 0;
-      out = std::stod(it->second, &consumed);
-      if (consumed != it->second.size()) throw std::invalid_argument("junk");
-    } catch (const std::exception&) {
-      check = malformed("detector spec: bad value for `" + key + "`: `" +
-                        it->second + "`");
-      return false;
-    }
-    params_.erase(it);
-    return true;
-  }
-
-  bool take_count(const std::string& key, std::size_t& out,
-                  SpecCheck& check) {
-    std::string raw;
-    if (!take_raw(key, raw)) return true;  // key absent: keep the default
-    try {
-      std::size_t consumed = 0;
-      const unsigned long long v = std::stoull(raw, &consumed);
-      // stoull accepts a leading '-' by wrapping; reject it explicitly.
-      if (consumed != raw.size() || v == 0 || raw.front() == '-') {
-        throw std::invalid_argument("not a positive integer");
-      }
-      out = static_cast<std::size_t>(v);
-    } catch (const std::exception&) {
-      check = malformed("detector spec: `" + key +
-                        "` must be a positive integer, got `" + raw + "`");
-      return false;
-    }
-    return true;
-  }
-
-  bool take_raw(const std::string& key, std::string& out) {
-    const auto it = params_.find(key);
-    if (it == params_.end()) return false;
-    out = it->second;
-    params_.erase(it);
-    return true;
-  }
-
-  bool reject_leftovers(const std::string& backend, SpecCheck& check) const {
-    if (params_.empty()) return true;
-    check = malformed("detector spec: unknown key `" +
-                      params_.begin()->first + "` for `" + backend + "`");
-    return false;
-  }
-
- private:
-  std::map<std::string, std::string> params_;
-};
-
-bool take_fraction(Params& params, const std::string& key, double& out,
-                   SpecCheck& check) {
-  if (!params.take_number(key, out, check)) return false;
+void take_fraction(spec::Params& params, const std::string& key,
+                   double& out) {
+  params.take_number(key, out);
   if (!(out > 0.0) || out >= 1.0) {
-    check = malformed("detector spec: `" + key + "` must be in (0, 1)");
-    return false;
+    params.fail("`" + key + "` must be in (0, 1)");
   }
-  return true;
 }
 
-bool take_threshold(Params& params, double& out, SpecCheck& check) {
-  if (!params.take_number("threshold", out, check)) return false;
-  if (!(out > 0.0)) {
-    check = malformed("detector spec: `threshold` must be > 0");
-    return false;
-  }
-  return true;
+/// The residual backends' `power` flag is written 0 or 1.
+void take_power_flag(spec::Params& params, bool& out) {
+  double power = 1.0;
+  params.take_number("power", power);
+  if (power != 0.0 && power != 1.0) params.fail("`power` must be 0 or 1");
+  out = power != 0.0;
 }
 
-BuildResult build_cra(Params params, const cra::DetectorOptions& defaults,
+BuildResult build_cra(spec::Params& params,
+                      const cra::DetectorOptions& defaults,
                       bool want_detector) {
-  BuildResult result;
   cra::DetectorOptions options = defaults;
-  if (!params.take_count("clear", options.clear_after_silent_challenges,
-                         result.check) ||
-      !params.reject_leftovers("cra", result.check)) {
-    return result;
-  }
-  if (want_detector) result.detector = std::make_unique<CraBackend>(options);
-  return result;
+  params.take_count("clear", options.clear_after_silent_challenges);
+  params.reject_leftovers();
+  if (!params.ok() || !want_detector) return {params.check(), nullptr};
+  return {{}, std::make_unique<CraBackend>(options)};
 }
 
-BuildResult build_chi2(Params params, bool want_detector) {
-  BuildResult result;
+BuildResult build_chi2(spec::Params& params, bool want_detector) {
   ChiSquareBackendOptions options;
-  double power = 1.0;
-  if (!take_threshold(params, options.threshold, result.check) ||
-      !params.take_count("window", options.window, result.check) ||
-      !params.take_count("consecutive", options.required_consecutive,
-                         result.check) ||
-      !params.take_count("clear", options.clear_after_quiet, result.check) ||
-      !take_fraction(params, "forgetting", options.variance_forgetting,
-                     result.check) ||
-      !params.take_number("power", power, result.check) ||
-      !params.reject_leftovers("chi2", result.check)) {
-    return result;
-  }
-  if (power != 0.0 && power != 1.0) {
-    result.check = malformed("detector spec: `power` must be 0 or 1");
-    return result;
-  }
-  options.alarm_on_power = power != 0.0;
-  if (want_detector) {
-    result.detector = std::make_unique<ChiSquareBackend>(options);
-  }
-  return result;
+  params.take_positive("threshold", options.threshold);
+  params.take_count("window", options.window);
+  params.take_count("consecutive", options.required_consecutive);
+  params.take_count("clear", options.clear_after_quiet);
+  take_fraction(params, "forgetting", options.variance_forgetting);
+  take_power_flag(params, options.alarm_on_power);
+  params.reject_leftovers();
+  if (!params.ok() || !want_detector) return {params.check(), nullptr};
+  return {{}, std::make_unique<ChiSquareBackend>(options)};
 }
 
-BuildResult build_ar(Params params, bool want_detector) {
-  BuildResult result;
+BuildResult build_ar(spec::Params& params, bool want_detector) {
   ArResidualBackendOptions options;
-  double power = 1.0;
-  if (!params.take_count("order", options.order, result.check) ||
-      !take_threshold(params, options.threshold, result.check) ||
-      !params.take_count("window", options.window, result.check) ||
-      !params.take_count("consecutive", options.required_consecutive,
-                         result.check) ||
-      !params.take_count("clear", options.clear_after_quiet, result.check) ||
-      !take_fraction(params, "forgetting", options.variance_forgetting,
-                     result.check) ||
-      !params.take_number("power", power, result.check) ||
-      !params.reject_leftovers("ar", result.check)) {
-    return result;
-  }
-  if (options.order > 16) {
-    result.check = malformed("detector spec: `order` must be in [1, 16]");
-    return result;
-  }
-  if (power != 0.0 && power != 1.0) {
-    result.check = malformed("detector spec: `power` must be 0 or 1");
-    return result;
-  }
-  options.alarm_on_power = power != 0.0;
-  if (want_detector) {
-    result.detector = std::make_unique<ArResidualBackend>(options);
-  }
-  return result;
+  params.take_count("order", options.order);
+  params.take_positive("threshold", options.threshold);
+  params.take_count("window", options.window);
+  params.take_count("consecutive", options.required_consecutive);
+  params.take_count("clear", options.clear_after_quiet);
+  take_fraction(params, "forgetting", options.variance_forgetting);
+  take_power_flag(params, options.alarm_on_power);
+  params.reject_leftovers();
+  if (options.order > 16) params.fail("`order` must be in [1, 16]");
+  if (!params.ok() || !want_detector) return {params.check(), nullptr};
+  return {{}, std::make_unique<ArResidualBackend>(options)};
 }
 
-BuildResult build(const std::string& spec,
+BuildResult build(const std::string& text,
                   const cra::DetectorOptions& cra_defaults,
                   bool want_detector);
 
-BuildResult build_fusion(Params params,
+BuildResult build_fusion(spec::Params& params,
                          const cra::DetectorOptions& cra_defaults,
                          bool want_detector) {
-  BuildResult result;
   std::string members_raw;
   if (!params.take_raw("members", members_raw)) {
-    result.check =
-        malformed("detector spec: fusion needs `members=a+b[+c]`");
-    return result;
+    params.fail("fusion needs `members=a+b[+c]`");
   }
   std::vector<std::string> members;
-  std::stringstream ss(members_raw);
-  std::string member;
-  while (std::getline(ss, member, '+')) {
+  for (const std::string& member :
+       spec::split_outside_quotes(members_raw, "+")) {
     if (!member.empty()) members.push_back(member);
   }
-  if (members.empty()) {
-    result.check = malformed("detector spec: fusion members list is empty");
-    return result;
-  }
+  if (members.empty()) params.fail("fusion members list is empty");
   std::size_t quorum = members.size() / 2 + 1;  // default: strict majority
-  if (!params.take_count("quorum", quorum, result.check) ||
-      !params.reject_leftovers("fusion", result.check)) {
-    return result;
-  }
+  params.take_count("quorum", quorum);
+  params.reject_leftovers();
   if (quorum > members.size()) {
-    result.check = malformed(
-        "detector spec: fusion quorum exceeds the member count");
-    return result;
+    params.fail("fusion quorum exceeds the member count");
   }
+  if (!params.ok()) return {params.check(), nullptr};
 
   std::vector<DetectorBackendPtr> children;
   for (const std::string& name : members) {
-    if (name == "fusion") {
-      result.check = malformed("detector spec: fusion cannot nest fusion");
-      return result;
-    }
+    if (name == "fusion") params.fail("fusion cannot nest fusion");
+    if (!params.ok()) return {params.check(), nullptr};
     // Members are bare backend names running their defaults.
     BuildResult child = build(name, cra_defaults, want_detector);
-    if (child.check.status != SpecStatus::kOk) {
-      result.check = std::move(child.check);
-      return result;
-    }
-    if (want_detector) children.push_back(std::move(child.detector));
+    if (!child.check.ok()) return child;
+    children.push_back(std::move(child.detector));
   }
-  if (want_detector) {
-    result.detector =
-        std::make_unique<FusionBackend>(std::move(children), quorum);
-  }
-  return result;
+  if (!want_detector) return {};
+  return {{}, std::make_unique<FusionBackend>(std::move(children), quorum)};
 }
 
-BuildResult build(const std::string& spec,
+BuildResult build(const std::string& text,
                   const cra::DetectorOptions& cra_defaults,
                   bool want_detector) {
-  if (spec.empty()) {
-    BuildResult result;
-    if (want_detector) {
-      result.detector = std::make_unique<CraBackend>(cra_defaults);
-    }
-    return result;
+  if (text.empty()) {
+    if (!want_detector) return {};
+    return {{}, std::make_unique<CraBackend>(cra_defaults)};
   }
-  ParsedSpec parsed;
-  BuildResult result;
-  result.check = parse_grammar(spec, parsed);
-  if (result.check.status != SpecStatus::kOk) return result;
-
-  Params params(std::move(parsed.params));
-  if (parsed.backend == "cra") {
-    return build_cra(std::move(params), cra_defaults, want_detector);
+  spec::Params params = spec::parse_clause(text, "detector");
+  const std::string& backend = params.kind();
+  if (!params.ok()) return {params.check(), nullptr};
+  if (backend == "cra") return build_cra(params, cra_defaults, want_detector);
+  if (backend == "chi2") return build_chi2(params, want_detector);
+  if (backend == "ar") return build_ar(params, want_detector);
+  if (backend == "fusion") {
+    return build_fusion(params, cra_defaults, want_detector);
   }
-  if (parsed.backend == "chi2") {
-    return build_chi2(std::move(params), want_detector);
-  }
-  if (parsed.backend == "ar") {
-    return build_ar(std::move(params), want_detector);
-  }
-  if (parsed.backend == "fusion") {
-    return build_fusion(std::move(params), cra_defaults, want_detector);
-  }
-  result.check = unknown_backend(parsed.backend);
-  return result;
+  return {{spec::Status::kUnknownKind,
+           "detector spec: unknown backend `" + backend +
+               "` (cra, chi2, ar, fusion)"},
+          nullptr};
 }
 
 }  // namespace
 
-SpecCheck check_detector_spec(const std::string& spec) {
-  return build(spec, cra::DetectorOptions{}, /*want_detector=*/false).check;
+spec::Check check_detector_spec(const std::string& text) {
+  return build(text, cra::DetectorOptions{}, /*want_detector=*/false).check;
 }
 
-DetectorBackendPtr make_detector(const std::string& spec,
+DetectorBackendPtr make_detector(const std::string& text,
                                  const cra::DetectorOptions& cra_defaults) {
-  BuildResult result = build(spec, cra_defaults, /*want_detector=*/true);
-  if (result.check.status != SpecStatus::kOk) {
-    throw std::invalid_argument(result.check.message);
-  }
+  BuildResult result = build(text, cra_defaults, /*want_detector=*/true);
+  result.check.throw_if_failed();
   return std::move(result.detector);
 }
 

@@ -12,31 +12,22 @@
 //   "fusion:members=cra+chi2,quorum=1"     vote across children
 //
 // An empty spec selects the CRA backend, reproducing the paper exactly.
-// Parsing throws std::invalid_argument only; check_detector_spec() offers
-// the non-throwing form and distinguishes a grammar error from a
-// well-formed spec naming an unknown backend (the serving layer maps the
-// latter to ErrorCode::kUnknownDetector instead of silently running CRA).
+// The grammar, its value rules and the Check result are the spec kernel's
+// (spec/grammar.hpp). Parsing throws std::invalid_argument only;
+// check_detector_spec() is the non-throwing form and reports an unknown
+// backend as spec::Status::kUnknownKind (the serving layer maps it to
+// ErrorCode::kUnknownDetector instead of silently running CRA).
 #pragma once
 
 #include <string>
 
 #include "detect/backend.hpp"
+#include "spec/grammar.hpp"
 
 namespace safe::detect {
 
-enum class SpecStatus {
-  kOk = 0,
-  kMalformed,       ///< grammar error, bad value, or unknown key
-  kUnknownBackend,  ///< well-formed, but the backend name is not registered
-};
-
-struct SpecCheck {
-  SpecStatus status = SpecStatus::kOk;
-  std::string message;  ///< empty on kOk
-};
-
 /// Validates a spec without building anything (and without throwing).
-[[nodiscard]] SpecCheck check_detector_spec(const std::string& spec);
+[[nodiscard]] spec::Check check_detector_spec(const std::string& spec);
 
 /// Builds the backend a spec names. The CRA backend (empty spec or "cra"
 /// without a clear= override) uses `cra_defaults`, so callers that harden

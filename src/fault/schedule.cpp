@@ -1,8 +1,9 @@
 #include "fault/schedule.hpp"
 
-#include <map>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
+
+#include "spec/grammar.hpp"
 
 namespace safe::fault {
 
@@ -49,53 +50,24 @@ std::string FaultSchedule::name() const {
 
 namespace {
 
-using KeyValues = std::map<std::string, double>;
+/// Window bounds are steps; any non-negative int64 is a valid one.
+constexpr std::int64_t kMaxStep = std::numeric_limits<std::int64_t>::max();
 
-/// Parses "key=val,key=val" into a map; throws on malformed tokens.
-KeyValues parse_key_values(const std::string& body, const std::string& spec) {
-  KeyValues kv;
-  std::stringstream ss(body);
-  std::string token;
-  while (std::getline(ss, token, ',')) {
-    if (token.empty()) continue;
-    const auto eq = token.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("fault spec: bad token '" + token +
-                                  "' in '" + spec + "'");
-    }
-    const std::string key = token.substr(0, eq);
-    try {
-      kv[key] = std::stod(token.substr(eq + 1));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("fault spec: bad value in '" + token + "'");
-    }
-  }
-  return kv;
-}
-
-double take(KeyValues& kv, const std::string& key, double fallback) {
-  const auto it = kv.find(key);
-  if (it == kv.end()) return fallback;
-  const double v = it->second;
-  kv.erase(it);
-  return v;
-}
-
-FaultWindow take_window(KeyValues& kv) {
-  FaultWindow w;
-  w.start = static_cast<std::int64_t>(take(kv, "start", 0.0));
-  w.length = static_cast<std::int64_t>(take(kv, "len", 0.0));
-  w.period = static_cast<std::int64_t>(take(kv, "period", 0.0));
-  return w;
-}
-
-FaultInjectorPtr build_injector(const std::string& kind, KeyValues kv,
-                                const std::string& spec) {
-  const FaultWindow window = take_window(kv);
+FaultInjectorPtr build_injector(spec::Params& params, const std::string& text) {
+  FaultWindow window;
+  params.take_index("start", kMaxStep, window.start);
+  params.take_index("len", kMaxStep, window.length);
+  params.take_index("period", kMaxStep, window.period);
+  const std::string& kind = params.kind();
+  const auto number = [&params](const std::string& key, double fallback) {
+    params.take_number(key, fallback);
+    return fallback;
+  };
   FaultInjectorPtr injector;
   if (kind == "dropout") {
-    injector = std::make_shared<DropoutBurstFault>(window,
-                                                   take(kv, "prob", 1.0));
+    const double prob = number("prob", 1.0);
+    if (!(prob >= 0.0 && prob <= 1.0)) params.fail("`prob` must be in [0, 1]");
+    injector = std::make_shared<DropoutBurstFault>(window, prob);
   } else if (kind == "stuck") {
     injector = std::make_shared<StuckAtFault>(window);
   } else if (kind == "nan") {
@@ -104,47 +76,34 @@ FaultInjectorPtr build_injector(const std::string& kind, KeyValues kv,
     injector = std::make_shared<NonFiniteFault>(window, /*use_inf=*/true);
   } else if (kind == "bias") {
     injector = std::make_shared<BiasRampFault>(
-        window, units::Meters{take(kv, "slope", 0.5)},
-        units::MetersPerSecond{take(kv, "vslope", 0.0)});
+        window, units::Meters{number("slope", 0.5)},
+        units::MetersPerSecond{number("vslope", 0.0)});
   } else if (kind == "quantize") {
     injector = std::make_shared<QuantizeSaturateFault>(
-        window, units::Meters{take(kv, "step", 4.0)},
-        units::Meters{take(kv, "max", 120.0)},
-        units::MetersPerSecond{take(kv, "vmax", 30.0)});
+        window, units::Meters{number("step", 4.0)},
+        units::Meters{number("max", 120.0)},
+        units::MetersPerSecond{number("vmax", 30.0)});
   } else if (kind == "flap") {
     injector = std::make_shared<ChallengeFlappingFault>(window);
   } else if (kind == "skip") {
     injector = std::make_shared<ClockSkipFault>(window);
   } else {
-    throw std::invalid_argument("fault spec: unknown injector '" + kind +
-                                "' in '" + spec + "'");
+    params.fail("unknown injector `" + kind + "` in `" + text + "`");
   }
-  if (!kv.empty()) {
-    throw std::invalid_argument("fault spec: unknown key '" +
-                                kv.begin()->first + "' for '" + kind + "'");
-  }
+  params.reject_leftovers();
+  params.check().throw_if_failed();
   return injector;
 }
 
 }  // namespace
 
-FaultSchedule parse_fault_spec(const std::string& spec, std::uint64_t seed) {
+FaultSchedule parse_fault_spec(const std::string& text, std::uint64_t seed) {
   FaultSchedule schedule(seed);
-  if (spec.empty() || spec == "none") return schedule;
-
-  std::string normalized = spec;
-  for (char& c : normalized) {
-    if (c == '+') c = ';';
-  }
-  std::stringstream ss(normalized);
-  std::string clause;
-  while (std::getline(ss, clause, ';')) {
+  if (text.empty() || text == "none") return schedule;
+  for (const std::string& clause : spec::split_outside_quotes(text, ";+")) {
     if (clause.empty()) continue;
-    const auto colon = clause.find(':');
-    const std::string kind = clause.substr(0, colon);
-    const std::string body =
-        colon == std::string::npos ? std::string{} : clause.substr(colon + 1);
-    schedule.add(build_injector(kind, parse_key_values(body, spec), spec));
+    spec::Params params = spec::parse_clause(clause, "fault");
+    schedule.add(build_injector(params, text));
   }
   return schedule;
 }

@@ -11,6 +11,8 @@
 //   "bias:start=50,slope=0.4;flap:start=150"
 //   "dropout:start=40,len=0,prob=0.2"       (len=0 -> unbounded window)
 // Multiple injectors are separated by ';' (or '+') and apply in order.
+// Each is a spec-kernel clause (spec/grammar.hpp): window values are
+// non-negative integer steps and `prob` lies in [0, 1].
 #pragma once
 
 #include <cstdint>

@@ -32,6 +32,7 @@
 //   "n=6,attacked=1,cutin_into=3,cutin_start=120,cutin_len=30"
 //
 // An empty spec selects the 2-vehicle defaults (== the pair case study).
+// The grammar and its value rules are the spec kernel's (spec/grammar.hpp).
 // Parsing throws std::invalid_argument only; check_platoon_spec() offers
 // the non-throwing form. Both share one implementation, so the checker and
 // the builder always agree (the fuzz harness cross-checks them).
@@ -41,6 +42,7 @@
 #include <string>
 
 #include "core/car_following.hpp"
+#include "spec/grammar.hpp"
 #include "units/units.hpp"
 
 namespace safe::platoon {
@@ -77,13 +79,8 @@ struct PlatoonOptions {
   CutInEvent cutin{};
 };
 
-struct SpecCheck {
-  bool ok = true;
-  std::string message;  ///< empty when ok
-};
-
 /// Validates a spec without building anything (and without throwing).
-[[nodiscard]] SpecCheck check_platoon_spec(const std::string& spec);
+[[nodiscard]] spec::Check check_platoon_spec(const std::string& spec);
 
 /// Parses a spec into options. Throws std::invalid_argument on any spec
 /// check_platoon_spec() would reject.

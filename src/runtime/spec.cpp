@@ -7,6 +7,7 @@
 #include "attack/spec.hpp"
 #include "detect/spec.hpp"
 #include "platoon/spec.hpp"
+#include "spec/grammar.hpp"
 
 namespace safe::runtime {
 
@@ -20,41 +21,17 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-/// Splits on any of `seps` outside double quotes; drops comments (# to end
-/// of segment) and empty segments. Quotes survive into the tokens and are
-/// stripped by unquote().
-std::vector<std::string> split_outside_quotes(const std::string& text,
-                                              const std::string& seps) {
+/// Splits on any of `seps` outside double quotes (see spec/grammar.hpp),
+/// trimming each part and dropping empty ones.
+std::vector<std::string> split_trimmed(const std::string& text,
+                                       const std::string& seps,
+                                       bool comments = false) {
   std::vector<std::string> out;
-  std::string current;
-  bool in_quotes = false;
-  bool in_comment = false;
-  for (const char c : text) {
-    if (in_comment) {
-      if (c == '\n') in_comment = false;
-      if (c != '\n') continue;
-    }
-    if (c == '"') in_quotes = !in_quotes;
-    if (!in_quotes && c == '#') {
-      in_comment = true;
-      continue;
-    }
-    if (!in_quotes && seps.find(c) != std::string::npos) {
-      if (!trim(current).empty()) out.push_back(trim(current));
-      current.clear();
-      continue;
-    }
-    current += c;
+  for (const std::string& part :
+       spec::split_outside_quotes(text, seps, comments)) {
+    if (!trim(part).empty()) out.push_back(trim(part));
   }
-  if (!trim(current).empty()) out.push_back(trim(current));
   return out;
-}
-
-std::string unquote(const std::string& s) {
-  if (s.size() >= 2 && s.front() == '"' && s.back() == '"') {
-    return s.substr(1, s.size() - 2);
-  }
-  return s;
 }
 
 [[noreturn]] void fail(const std::string& entry, const std::string& why) {
@@ -62,35 +39,43 @@ std::string unquote(const std::string& s) {
 }
 
 double parse_number(const std::string& entry, const std::string& token) {
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(token, &consumed);
-    if (consumed != token.size()) fail(entry, "trailing junk after number");
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail(entry, "expected a number, got `" + token + "`");
-  } catch (const std::out_of_range&) {
-    fail(entry, "number out of range: `" + token + "`");
+  double v = 0.0;
+  if (!spec::parse_number(token, v)) {
+    fail(entry, "expected a finite number, got `" + token + "`");
   }
+  return v;
 }
 
-std::uint64_t parse_count(const std::string& entry, const std::string& token) {
-  try {
-    std::size_t consumed = 0;
-    const std::uint64_t v = std::stoull(token, &consumed);
-    if (consumed != token.size()) fail(entry, "trailing junk after integer");
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail(entry, "expected an integer, got `" + token + "`");
-  } catch (const std::out_of_range&) {
-    fail(entry, "integer out of range: `" + token + "`");
+std::uint64_t parse_index(const std::string& entry, const std::string& token,
+                          std::uint64_t max) {
+  std::uint64_t v = 0;
+  if (!spec::parse_index(token, max, v)) {
+    fail(entry, "expected an integer in [0, " + std::to_string(max) +
+                    "], got `" + token + "`");
   }
+  return v;
 }
 
 bool parse_bool(const std::string& entry, const std::string& token) {
-  if (token == "true" || token == "on" || token == "1") return true;
-  if (token == "false" || token == "off" || token == "0") return false;
-  fail(entry, "expected true/false/on/off, got `" + token + "`");
+  bool v = false;
+  if (!spec::parse_switch(token, v)) {
+    fail(entry, "expected on/off/true/false/1/0, got `" + token + "`");
+  }
+  return v;
+}
+
+/// Appends an axis of nested specs ("none" read as ""). Each is checked
+/// here, failing with its language's message, instead of erroring every
+/// trial that lands on its cell.
+template <typename Checker>
+void take_sub_specs(const std::string& entry,
+                    const std::vector<std::string>& tokens, Checker check,
+                    std::vector<std::string>& out) {
+  for (const std::string& token : tokens) {
+    out.push_back(spec::none_as_empty(spec::unquote(token)));
+    const spec::Check result = check(out.back());
+    if (!result.ok()) fail(entry, result.message);
+  }
 }
 
 /// `uniform(a,b)` / `loguniform(a,b)`, or std::nullopt when the token is
@@ -142,26 +127,27 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
   bool hardened = false;
   std::size_t max_holdover = 15;
 
-  for (const std::string& entry : split_outside_quotes(text, "\n;")) {
+  for (const std::string& entry : split_trimmed(text, "\n;", true)) {
     const auto eq = entry.find('=');
     if (eq == std::string::npos) fail(entry, "expected key = value");
     const std::string key = trim(entry.substr(0, eq));
     const std::string value = trim(entry.substr(eq + 1));
     if (value.empty()) fail(entry, "empty value");
-    const std::vector<std::string> tokens =
-        split_outside_quotes(value, "|");
-    const std::string first = unquote(tokens.front());
+    const std::vector<std::string> tokens = split_trimmed(value, "|");
+    if (tokens.empty()) fail(entry, "empty value");
+    const std::string first = spec::unquote(tokens.front());
 
     if (key == "trials") {
-      spec.trials = static_cast<std::size_t>(parse_count(entry, first));
+      spec.trials =
+          static_cast<std::size_t>(parse_index(entry, first, SIZE_MAX));
     } else if (key == "seed") {
-      spec.seed = parse_count(entry, first);
+      spec.seed = parse_index(entry, first, UINT64_MAX);
     } else if (key == "horizon") {
-      spec.base.horizon_steps =
-          static_cast<std::int64_t>(parse_count(entry, first));
+      spec.base.horizon_steps = static_cast<std::int64_t>(
+          parse_index(entry, first, INT64_MAX));
     } else if (key == "leader") {
       for (const auto& t : tokens) {
-        spec.leaders.push_back(parse_leader(entry, unquote(t)));
+        spec.leaders.push_back(parse_leader(entry, spec::unquote(t)));
       }
     } else if (key == "attack") {
       // Bare legacy names keep the enum axis (and its exact cell mapping);
@@ -169,29 +155,19 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
       // axis so one `attack =` entry stays one axis.
       bool all_legacy = true;
       for (const auto& t : tokens) {
-        const std::string a = unquote(t);
+        const std::string a = spec::unquote(t);
         if (a != "none" && a != "dos" && a != "delay") {
           all_legacy = false;
           break;
         }
       }
-      for (const auto& t : tokens) {
-        const std::string a = unquote(t);
-        if (all_legacy) {
-          spec.attacks.push_back(parse_attack(entry, a));
-          continue;
+      if (all_legacy) {
+        for (const auto& t : tokens) {
+          spec.attacks.push_back(parse_attack(entry, spec::unquote(t)));
         }
-        const std::string normalized = a == "none" ? std::string{} : a;
-        // Same parse-time validation as `detector`: reject a bad attack
-        // spec once here instead of erroring every trial on its cell.
-        if (!normalized.empty()) {
-          const attack::SpecCheck check =
-              attack::check_attack_spec(normalized);
-          if (check.status != attack::SpecStatus::kOk) {
-            fail(entry, check.message);
-          }
-        }
-        spec.attack_specs.push_back(normalized);
+      } else {
+        take_sub_specs(entry, tokens, attack::check_attack_spec,
+                       spec.attack_specs);
       }
     } else if (key == "onset") {
       if (auto dist = try_parse_distribution(entry, first)) {
@@ -199,7 +175,7 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
       } else if (tokens.size() > 1) {
         for (const auto& t : tokens) {
           spec.attack_onsets_s.push_back(
-              units::Seconds{parse_number(entry, unquote(t))});
+              units::Seconds{parse_number(entry, spec::unquote(t))});
         }
       } else {
         spec.base.attack_start_s = units::Seconds{parse_number(entry, first)};
@@ -218,46 +194,25 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
         spec.jammer_power_w = *dist;
       } else if (tokens.size() > 1) {
         for (const auto& t : tokens) {
-          spec.jammer_powers_w.push_back(parse_number(entry, unquote(t)));
+          spec.jammer_powers_w.push_back(parse_number(entry, spec::unquote(t)));
         }
       } else {
         spec.base.jammer.peak_power_w = parse_number(entry, first);
       }
     } else if (key == "fault") {
       for (const auto& t : tokens) {
-        const std::string f = unquote(t);
-        spec.fault_specs.push_back(f == "none" ? std::string{} : f);
+        spec.fault_specs.push_back(spec::none_as_empty(spec::unquote(t)));
       }
     } else if (key == "detector") {
-      for (const auto& t : tokens) {
-        const std::string d = unquote(t);
-        const std::string normalized = d == "none" ? std::string{} : d;
-        // Fail at parse time (with the detect module's message) instead of
-        // erroring every trial that lands on the bad cell.
-        const detect::SpecCheck check =
-            detect::check_detector_spec(normalized);
-        if (check.status != detect::SpecStatus::kOk) {
-          fail(entry, check.message);
-        }
-        spec.detector_specs.push_back(normalized);
-      }
+      take_sub_specs(entry, tokens, detect::check_detector_spec,
+                     spec.detector_specs);
     } else if (key == "platoon") {
-      for (const auto& t : tokens) {
-        const std::string p = unquote(t);
-        const std::string normalized = p == "none" ? std::string{} : p;
-        // Same parse-time validation as `detector`: reject a bad platoon
-        // spec once here instead of erroring every trial on its cell.
-        if (!normalized.empty()) {
-          const platoon::SpecCheck check =
-              platoon::check_platoon_spec(normalized);
-          if (!check.ok) fail(entry, check.message);
-        }
-        spec.platoon_specs.push_back(normalized);
-      }
+      take_sub_specs(entry, tokens, platoon::check_platoon_spec,
+                     spec.platoon_specs);
     } else if (key == "defense") {
       if (tokens.size() > 1) {
         for (const auto& t : tokens) {
-          spec.defenses.push_back(parse_bool(entry, unquote(t)));
+          spec.defenses.push_back(parse_bool(entry, spec::unquote(t)));
         }
       } else {
         spec.base.defense_enabled = parse_bool(entry, first);
@@ -273,7 +228,8 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
     } else if (key == "hardened") {
       hardened = parse_bool(entry, first);
     } else if (key == "max_holdover") {
-      max_holdover = static_cast<std::size_t>(parse_count(entry, first));
+      max_holdover =
+          static_cast<std::size_t>(parse_index(entry, first, SIZE_MAX));
       hardened = true;
     } else {
       fail(entry, "unknown key `" + key + "` (run `--spec help`)");

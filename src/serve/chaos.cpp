@@ -13,6 +13,7 @@
 #include <stdexcept>
 
 #include "serve/net_util.hpp"
+#include "spec/grammar.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace safe::serve {
@@ -25,39 +26,11 @@ constexpr std::size_t kMaxBufferedBytes = 256 * 1024;
 
 constexpr std::size_t kReadChunk = 16 * 1024;
 
-[[noreturn]] void bad_token(const std::string& directive,
-                            const std::string& token) {
-  throw std::invalid_argument("chaos spec: bad token '" + token +
-                              "' in directive '" + directive + "'");
-}
-
-std::uint64_t parse_u64(const std::string& directive,
-                        const std::string& token, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long v = std::stoull(value, &pos);
-    if (pos != value.size()) bad_token(directive, token);
-    return static_cast<std::uint64_t>(v);
-  } catch (const std::invalid_argument&) {
-    bad_token(directive, token);
-  } catch (const std::out_of_range&) {
-    bad_token(directive, token);
-  }
-}
-
-double parse_prob(const std::string& directive, const std::string& token,
-                  const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != value.size() || v < 0.0 || v > 1.0) {
-      bad_token(directive, token);
-    }
-    return v;
-  } catch (const std::invalid_argument&) {
-    bad_token(directive, token);
-  } catch (const std::out_of_range&) {
-    bad_token(directive, token);
+void take_probability(spec::Params& params, const std::string& key,
+                      double& out) {
+  params.take_number(key, out);
+  if (!(out >= 0.0 && out <= 1.0)) {
+    params.fail("`" + key + "` must be in [0, 1]");
   }
 }
 
@@ -68,100 +41,52 @@ void set_nonblocking(int fd) {
 
 }  // namespace
 
-ChaosSpec parse_chaos_spec(const std::string& spec) {
+ChaosSpec parse_chaos_spec(const std::string& text) {
+  // Millisecond values are scaled to nanoseconds; past this they would wrap.
+  constexpr std::uint64_t kMaxMs = UINT64_MAX / 1'000'000ULL;
   ChaosSpec out;
-  if (spec.empty() || spec == "none") return out;
+  if (text.empty() || text == "none") return out;
 
-  std::size_t begin = 0;
-  while (begin <= spec.size()) {
-    std::size_t end = spec.find_first_of(";+", begin);
-    if (end == std::string::npos) end = spec.size();
-    const std::string directive = spec.substr(begin, end - begin);
-    begin = end + 1;
+  for (const std::string& directive : spec::split_outside_quotes(text, ";+")) {
     if (directive.empty()) continue;
-
-    const std::size_t colon = directive.find(':');
-    const std::string name = directive.substr(0, colon);
-    std::vector<std::pair<std::string, std::string>> kv;
-    if (colon != std::string::npos) {
-      std::size_t p = colon + 1;
-      while (p <= directive.size()) {
-        std::size_t q = directive.find(',', p);
-        if (q == std::string::npos) q = directive.size();
-        const std::string token = directive.substr(p, q - p);
-        p = q + 1;
-        if (token.empty()) continue;
-        const std::size_t eq = token.find('=');
-        if (eq == std::string::npos || eq == 0) bad_token(directive, token);
-        kv.emplace_back(token.substr(0, eq), token.substr(eq + 1));
-      }
-    }
-
-    const auto only = [&](std::initializer_list<const char*> allowed) {
-      // A directive without arguments is always a mistake — accepting it
-      // would let a typo'd spec silently degrade to passthrough.
-      if (kv.empty()) bad_token(directive, "(no arguments)");
-      for (const auto& [key, value] : kv) {
-        bool ok = false;
-        for (const char* a : allowed) ok = ok || key == a;
-        if (!ok) bad_token(directive, key + "=" + value);
-      }
-    };
-
+    spec::Params params = spec::parse_clause(directive, "chaos");
+    const std::string& name = params.kind();
+    // A directive without arguments is always a mistake: accepting it
+    // would let a typo'd spec silently degrade to passthrough.
+    if (params.empty()) params.fail("`" + directive + "` needs arguments");
     if (name == "latency") {
-      only({"ms", "jitter"});
-      for (const auto& [key, value] : kv) {
-        const std::uint64_t ms = parse_u64(directive, key + "=" + value, value);
-        if (key == "ms") out.latency_ns = ms * 1'000'000ULL;
-        if (key == "jitter") out.jitter_ns = ms * 1'000'000ULL;
-      }
+      std::uint64_t ms = out.latency_ns / 1'000'000ULL;
+      std::uint64_t jitter_ms = out.jitter_ns / 1'000'000ULL;
+      params.take_index("ms", kMaxMs, ms);
+      params.take_index("jitter", kMaxMs, jitter_ms);
+      out.latency_ns = ms * 1'000'000ULL;
+      out.jitter_ns = jitter_ms * 1'000'000ULL;
     } else if (name == "throttle") {
-      only({"bps"});
-      for (const auto& [key, value] : kv) {
-        out.throttle_bytes_per_sec =
-            parse_u64(directive, key + "=" + value, value);
-      }
-      if (out.throttle_bytes_per_sec == 0) bad_token(directive, "bps=0");
+      params.take_index("bps", UINT64_MAX, out.throttle_bytes_per_sec);
+      if (out.throttle_bytes_per_sec == 0) params.fail("`bps` must be > 0");
     } else if (name == "split") {
-      only({"min", "max"});
-      for (const auto& [key, value] : kv) {
-        const std::uint64_t v = parse_u64(directive, key + "=" + value, value);
-        if (key == "min") out.split_min = static_cast<std::size_t>(v);
-        if (key == "max") out.split_max = static_cast<std::size_t>(v);
-      }
+      params.take_index("min", SIZE_MAX, out.split_min);
+      params.take_index("max", SIZE_MAX, out.split_max);
       const bool max_given = out.split_max != 0;
       if (out.split_min == 0) out.split_min = 1;
       if (!max_given) {
         out.split_max = out.split_min;  // exact chunk size
       } else if (out.split_max < out.split_min) {
-        bad_token(directive, "max < min");
+        params.fail("`max` < `min` in `" + directive + "`");
       }
     } else if (name == "corrupt") {
-      only({"prob"});
-      for (const auto& [key, value] : kv) {
-        out.corrupt_prob = parse_prob(directive, key + "=" + value, value);
-      }
+      take_probability(params, "prob", out.corrupt_prob);
     } else if (name == "disconnect") {
-      only({"prob", "after"});
-      for (const auto& [key, value] : kv) {
-        if (key == "prob") {
-          out.disconnect_prob = parse_prob(directive, key + "=" + value, value);
-        } else {
-          out.disconnect_after_bytes =
-              parse_u64(directive, key + "=" + value, value);
-        }
-      }
+      take_probability(params, "prob", out.disconnect_prob);
+      params.take_index("after", UINT64_MAX, out.disconnect_after_bytes);
     } else if (name == "halfclose") {
-      only({"after"});
-      for (const auto& [key, value] : kv) {
-        out.half_close_after_bytes =
-            parse_u64(directive, key + "=" + value, value);
-      }
-      if (out.half_close_after_bytes == 0) bad_token(directive, "after=0");
+      params.take_index("after", UINT64_MAX, out.half_close_after_bytes);
+      if (out.half_close_after_bytes == 0) params.fail("`after` must be > 0");
     } else {
-      throw std::invalid_argument("chaos spec: unknown directive '" + name +
-                                  "'");
+      params.fail("unknown directive `" + name + "`");
     }
+    params.reject_leftovers();
+    params.check().throw_if_failed();
   }
   return out;
 }

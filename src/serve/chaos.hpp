@@ -16,8 +16,8 @@
 //   "disconnect:prob=0.01,after=4096"  cut per-chunk with prob, or once the
 //                                      connection has forwarded `after` bytes
 //   "halfclose:after=2048"             shutdown(client->server) after N bytes
-// Directives are separated by ';' (or '+'); an empty spec or "none" is a
-// transparent passthrough.
+// Directives are separated by ';' (or '+') and each is a spec-kernel clause
+// (spec/grammar.hpp); an empty spec or "none" is a transparent passthrough.
 #pragma once
 
 #include <atomic>

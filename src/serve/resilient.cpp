@@ -120,6 +120,10 @@ ResilientResult ResilientClient::run(const TraceSpec& spec,
   std::uint64_t backoff = policy_.initial_backoff_ns;
   std::size_t attempts = 0;
   std::int64_t last_challenge_step = -1;
+  // First send time per step, kept across reconnects: an estimate the
+  // server replays after a RESUME is timed from its frame's first send.
+  std::unordered_map<std::int64_t, std::uint64_t> send_ns;
+  send_ns.reserve(trace.size());
 
   const auto last_accepted = [&]() -> std::int64_t {
     return r.estimates.empty() ? -1 : r.estimates.back().step;
@@ -226,8 +230,6 @@ ResilientResult ResilientClient::run(const TraceSpec& spec,
       frame_end.push_back(outbuf.size());
       frame_step.push_back(trace[i].step);
     }
-    std::unordered_map<std::int64_t, std::uint64_t> send_ns;
-    send_ns.reserve(trace.size() - start);
     std::size_t sent = 0;
     std::size_t next_stamp = 0;
     std::size_t accepted_since_ack = 0;
@@ -457,6 +459,7 @@ ResilientResult ResilientClient::run(const TraceSpec& spec,
         r.estimate_frames.clear();
         r.challenges.clear();
         r.latencies_ns.clear();
+        send_ns.clear();
         last_challenge_step = -1;
         fail(StreamFailure::kTransport, "restart: " + hs.detail);
         continue;

@@ -57,8 +57,9 @@ struct ResilientResult {
   /// Raw wire bytes per accepted ESTIMATE, in step order (parity artifact).
   std::vector<std::vector<std::uint8_t>> estimate_frames;
   std::vector<ChallengeResultFrame> challenges;
-  /// Send-to-receive latencies for estimates whose measurement was sent on
-  /// the connection that delivered them (replayed frames have no stamp).
+  /// Send-to-receive latency per accepted estimate, timed from the first
+  /// send of its measurement (so a replay after a reconnect includes the
+  /// outage).
   std::vector<std::uint64_t> latencies_ns;
   std::uint64_t session_token = 0;
 

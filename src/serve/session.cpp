@@ -179,12 +179,11 @@ SessionManager::OpenResult SessionManager::open(const HelloFrame& hello,
   // Validate the detector spec up front so a bad one is a structured reject,
   // never a silent fall-back to the default backend.
   {
-    const detect::SpecCheck check =
-        detect::check_detector_spec(hello.detector_spec);
-    if (check.status == detect::SpecStatus::kUnknownBackend) {
+    const spec::Check check = detect::check_detector_spec(hello.detector_spec);
+    if (check.status == spec::Status::kUnknownKind) {
       return rejected(ErrorCode::kUnknownDetector, check.message);
     }
-    if (check.status != detect::SpecStatus::kOk) {
+    if (!check.ok()) {
       return rejected(ErrorCode::kProtocolOrder, check.message);
     }
   }

@@ -1,85 +1,13 @@
-// Tests for CA-CFAR detection and Levinson-Durbin AR fitting.
+// Tests for autocorrelation and Levinson-Durbin AR fitting.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
 
-#include "dsp/cfar.hpp"
 #include "dsp/levinson.hpp"
 
 namespace safe::dsp {
 namespace {
-
-TEST(Cfar, OptionValidation) {
-  RealSignal spectrum(64, 1.0);
-  EXPECT_THROW(cfar_detect(spectrum, {.training_cells = 0}),
-               std::invalid_argument);
-  EXPECT_THROW(cfar_detect(spectrum, {.threshold_factor = 0.0}),
-               std::invalid_argument);
-  EXPECT_THROW(cfar_detect(RealSignal(4), CfarOptions{}),
-               std::invalid_argument);
-}
-
-TEST(Cfar, FlatNoiseYieldsNoDetections) {
-  std::mt19937 rng(1);
-  std::exponential_distribution<double> dist(1.0);  // Rayleigh power
-  RealSignal spectrum(256);
-  for (auto& s : spectrum) s = dist(rng);
-  const auto detections = cfar_detect(spectrum);
-  EXPECT_TRUE(detections.empty());
-}
-
-TEST(Cfar, SinglePeakDetectedAtCorrectBin) {
-  std::mt19937 rng(2);
-  std::exponential_distribution<double> dist(1.0);
-  RealSignal spectrum(256);
-  for (auto& s : spectrum) s = dist(rng);
-  spectrum[77] = 200.0;
-  const auto detections = cfar_detect(spectrum);
-  ASSERT_EQ(detections.size(), 1u);
-  EXPECT_EQ(detections[0].bin, 77u);
-  EXPECT_GT(detections[0].power, 100.0);
-}
-
-TEST(Cfar, AdaptsToRaisedNoiseFloor) {
-  // The same absolute peak power is NOT a detection when the local floor is
-  // high — the constant-false-alarm property a fixed threshold lacks.
-  RealSignal quiet(256, 1.0);
-  quiet[50] = 30.0;
-  EXPECT_EQ(cfar_detect(quiet).size(), 1u);
-
-  RealSignal jammed(256, 10.0);  // floor x10 (partial-band jam)
-  jammed[50] = 30.0;
-  EXPECT_TRUE(cfar_detect(jammed).empty());
-}
-
-TEST(Cfar, TwoSeparatedPeaksBothFound) {
-  RealSignal spectrum(256, 1.0);
-  spectrum[40] = 100.0;
-  spectrum[200] = 80.0;
-  const auto detections = cfar_detect(spectrum);
-  ASSERT_EQ(detections.size(), 2u);
-  EXPECT_EQ(detections[0].bin, 40u);
-  EXPECT_EQ(detections[1].bin, 200u);
-}
-
-TEST(Cfar, LocalMaximumSuppressionKeepsOnePerPeak) {
-  RealSignal spectrum(256, 1.0);
-  spectrum[99] = 60.0;
-  spectrum[100] = 100.0;  // the true apex
-  spectrum[101] = 55.0;
-  const auto detections = cfar_detect(spectrum);
-  ASSERT_EQ(detections.size(), 1u);
-  EXPECT_EQ(detections[0].bin, 100u);
-}
-
-TEST(Cfar, WrapsAroundSpectrumEdges) {
-  RealSignal spectrum(128, 1.0);
-  spectrum[0] = 100.0;
-  const auto detections = cfar_detect(spectrum);
-  ASSERT_EQ(detections.size(), 1u);
-  EXPECT_EQ(detections[0].bin, 0u);
-}
 
 TEST(Autocorrelation, Validation) {
   EXPECT_THROW(autocorrelation({}, 0), std::invalid_argument);

@@ -214,6 +214,14 @@ TEST(SpecParser, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_fault_spec("dropout:start=abc"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("dropout:bogus=1"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("bias:prob=0.5"), std::invalid_argument);
+  // Window bounds are non-negative integers, probabilities lie in [0, 1],
+  // and a key may appear once.
+  for (const char* spec :
+       {"dropout:start=nan", "dropout:start=1e30", "dropout:start=5abc,len=3",
+        "dropout:start=5,start=9", "dropout:start=2.7", "dropout:start=-4",
+        "dropout:prob=7"}) {
+    EXPECT_THROW((void)parse_fault_spec(spec), std::invalid_argument) << spec;
+  }
 }
 
 TEST(SpecParser, IdenticalSchedulesProduceIdenticalStreams) {

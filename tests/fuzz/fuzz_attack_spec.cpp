@@ -18,11 +18,11 @@
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string spec(reinterpret_cast<const char*>(data), size);
-  const safe::attack::SpecCheck check = safe::attack::check_attack_spec(spec);
+  const safe::spec::Check check = safe::attack::check_attack_spec(spec);
   try {
     const std::shared_ptr<safe::attack::AttackModel> attack =
         safe::attack::make_attack(spec);
-    if (check.status != safe::attack::SpecStatus::kOk) {
+    if (check.status != safe::spec::Status::kOk) {
       __builtin_trap();  // builder accepted what the checker rejected
     }
     if (!check.message.empty()) {
@@ -33,7 +33,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       __builtin_trap();
     }
   } catch (const std::invalid_argument&) {
-    if (check.status == safe::attack::SpecStatus::kOk) {
+    if (check.status == safe::spec::Status::kOk) {
       __builtin_trap();  // checker accepted what the builder rejected
     }
     if (check.message.empty()) {

@@ -16,16 +16,16 @@
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string spec(reinterpret_cast<const char*>(data), size);
-  const safe::detect::SpecCheck check = safe::detect::check_detector_spec(spec);
+  const safe::spec::Check check = safe::detect::check_detector_spec(spec);
   try {
     const safe::detect::DetectorBackendPtr detector =
         safe::detect::make_detector(spec);
-    if (check.status != safe::detect::SpecStatus::kOk || !detector) {
+    if (check.status != safe::spec::Status::kOk || !detector) {
       __builtin_trap();  // builder accepted what the checker rejected
     }
     (void)detector->name();
   } catch (const std::invalid_argument&) {
-    if (check.status == safe::detect::SpecStatus::kOk) {
+    if (check.status == safe::spec::Status::kOk) {
       __builtin_trap();  // checker accepted what the builder rejected
     }
   }

@@ -16,12 +16,12 @@
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string spec(reinterpret_cast<const char*>(data), size);
-  const safe::platoon::SpecCheck check =
+  const safe::spec::Check check =
       safe::platoon::check_platoon_spec(spec);
   try {
     const safe::platoon::PlatoonOptions options =
         safe::platoon::parse_platoon_spec(spec);
-    if (!check.ok) {
+    if (!check.ok()) {
       __builtin_trap();  // builder accepted what the checker rejected
     }
     // Validated options must honour the documented invariants.
@@ -30,7 +30,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       __builtin_trap();
     }
   } catch (const std::invalid_argument&) {
-    if (check.ok) {
+    if (check.ok()) {
       __builtin_trap();  // checker accepted what the builder rejected
     }
     if (check.message.empty()) {

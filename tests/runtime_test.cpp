@@ -195,6 +195,13 @@ TEST(SpecParser, RejectsMalformedInput) {
   EXPECT_THROW(parse_campaign_spec("attack = evil"), std::invalid_argument);
   EXPECT_THROW(parse_campaign_spec("onset = uniform(240, 60)"),
                std::invalid_argument);
+  // Integers carry no sign and numbers are finite. Parse only: a wrapped
+  // `trials = -1` would ask for 2^64 trials.
+  for (const char* text : {"trials = -1", "seed = -3", "onset = nan",
+                           "jammer_power_w = inf", "trials = |"}) {
+    EXPECT_THROW((void)parse_campaign_spec(text), std::invalid_argument)
+        << text;
+  }
 }
 
 // --- expansion & sinks -----------------------------------------------------

@@ -121,6 +121,9 @@ TEST(ChaosSpecParse, MalformedSpecsThrow) {
       "halfclose:after=0", // zero threshold is meaningless
       "warp:factor=9",     // unknown directive
       "latency:ms=1,bogus=2",  // unknown key
+      "split:min=-1",          // negative count
+      "corrupt:prob=nan",      // non-finite probability
+      "latency:ms=5,ms=7",     // duplicate key
   };
   for (const char* spec : bad) {
     SCOPED_TRACE(spec);
@@ -240,6 +243,29 @@ TEST(ChaosProxy, SoakWithDisconnectsJitterAndResplitKeepsParity) {
   EXPECT_GT(report.reconnects, 0u);
   EXPECT_GT(report.resumes + report.restarts, 0u);
   EXPECT_EQ(harness.server().stats().sessions_resumed, report.resumes);
+}
+
+// Every estimate is timed from its measurement's first send, the ones the
+// server replays after a RESUME included, so no latency reads 0.
+TEST(ChaosProxy, ReconnectedStreamTimesEveryEstimate) {
+  ServerHarness harness;
+  ProxyHarness proxy("disconnect:after=2500", 9, harness.port());
+  const TraceSpec spec = quick_spec(55, 120);
+  const std::vector<MeasurementFrame> trace = make_measurement_trace(spec);
+
+  RetryPolicy policy;
+  policy.max_attempts = 40;
+  policy.initial_backoff_ns = 5'000'000;
+  policy.max_backoff_ns = 100'000'000;
+  ResilientClient client("127.0.0.1", proxy.port(), policy);
+  const ResilientResult result = client.run(spec, "timed", trace);
+  ASSERT_TRUE(result.complete)
+      << to_string(result.failure) << ": " << result.failure_detail;
+  EXPECT_GT(result.reconnects, 0u);
+  ASSERT_EQ(result.latencies_ns.size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_GT(result.latencies_ns[i], 0u) << "step " << i;
+  }
 }
 
 // A resilient client honors STATUS kOverloaded: it backs off and retries
