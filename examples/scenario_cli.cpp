@@ -34,6 +34,7 @@
 // perfectly (k = 0) — the coherence check goes blind, only the rx-power
 // check can still fire (here its transmitter leaks 15x the noise floor):
 //   scenario_cli --attack "entrain:acquire=3,replay=0,leak=15" --onset 180
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -49,6 +50,7 @@
 #include "platoon/platoon.hpp"
 #include "runtime/campaign.hpp"
 #include "runtime/sink.hpp"
+#include "spec/grammar.hpp"
 #include "telemetry/telemetry.hpp"
 #include "vehicle/leader_profile.hpp"
 
@@ -122,6 +124,7 @@ bool write_telemetry_outputs(const std::string& metrics_path,
   return true;
 }
 
+/// Comma-separated seeds; empty when the list is empty or a seed is malformed.
 std::vector<std::uint64_t> parse_seed_list(const std::string& value) {
   std::vector<std::uint64_t> seeds;
   std::size_t begin = 0;
@@ -130,11 +133,14 @@ std::vector<std::uint64_t> parse_seed_list(const std::string& value) {
     const std::string token =
         value.substr(begin, comma == std::string::npos ? std::string::npos
                                                        : comma - begin);
-    if (!token.empty()) seeds.push_back(std::stoull(token));
+    std::uint64_t seed = 0;
+    if (!token.empty()) {
+      if (!safe::spec::parse_index(token, UINT64_MAX, seed)) return {};
+      seeds.push_back(seed);
+    }
     if (comma == std::string::npos) break;
     begin = comma + 1;
   }
-  if (seeds.empty()) throw std::invalid_argument("empty --seed list");
   return seeds;
 }
 
@@ -184,6 +190,16 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    const auto index = [&](std::uint64_t max) {
+      std::uint64_t v = 0;
+      if (!spec::parse_index(next(), max, v)) usage(argv[0]);
+      return v;
+    };
+    const auto number = [&]() {
+      double v = 0.0;
+      if (!spec::parse_number(next(), v)) usage(argv[0]);
+      return v;
+    };
     if (arg == "--leader") {
       leader = next();
     } else if (arg == "--attack") {
@@ -210,9 +226,9 @@ int main(int argc, char** argv) {
         options.attack_spec = v;
       }
     } else if (arg == "--onset") {
-      options.attack_start_s = safe::units::Seconds{std::stod(next())};
+      options.attack_start_s = safe::units::Seconds{number()};
     } else if (arg == "--end") {
-      options.attack_end_s = safe::units::Seconds{std::stod(next())};
+      options.attack_end_s = safe::units::Seconds{number()};
     } else if (arg == "--no-defense") {
       options.defense_enabled = false;
     } else if (arg == "--estimator") {
@@ -226,13 +242,14 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--seed") {
       seeds = parse_seed_list(next());
+      if (seeds.empty()) usage(argv[0]);
       options.seed = seeds.front();
     } else if (arg == "--trials") {
-      trials = std::stoull(next());
+      trials = index(SIZE_MAX);
     } else if (arg == "--jobs") {
-      jobs = std::stoull(next());
+      jobs = index(SIZE_MAX);
     } else if (arg == "--horizon") {
-      options.horizon_steps = std::stoll(next());
+      options.horizon_steps = static_cast<std::int64_t>(index(INT64_MAX));
     } else if (arg == "--csv") {
       csv_path = next();
     } else if (arg == "--fault") {
@@ -260,7 +277,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--hardened") {
       hardened = true;
     } else if (arg == "--max-holdover") {
-      max_holdover = std::stoull(next());
+      max_holdover = index(SIZE_MAX);
       hardened = true;
     } else if (arg == "--metrics-out") {
       metrics_path = next();

@@ -6,6 +6,7 @@
 
 #include "attack/spec.hpp"
 #include "detect/spec.hpp"
+#include "fault/schedule.hpp"
 #include "platoon/spec.hpp"
 #include "spec/grammar.hpp"
 
@@ -76,6 +77,16 @@ void take_sub_specs(const std::string& entry,
     const spec::Check result = check(out.back());
     if (!result.ok()) fail(entry, result.message);
   }
+}
+
+/// The fault language's parser in the Check form take_sub_specs expects.
+spec::Check check_fault_spec(const std::string& text) {
+  try {
+    (void)fault::parse_fault_spec(text);
+  } catch (const std::invalid_argument& e) {
+    return {.status = spec::Status::kMalformed, .message = e.what()};
+  }
+  return {};
 }
 
 /// `uniform(a,b)` / `loguniform(a,b)`, or std::nullopt when the token is
@@ -200,9 +211,7 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
         spec.base.jammer.peak_power_w = parse_number(entry, first);
       }
     } else if (key == "fault") {
-      for (const auto& t : tokens) {
-        spec.fault_specs.push_back(spec::none_as_empty(spec::unquote(t)));
-      }
+      take_sub_specs(entry, tokens, check_fault_spec, spec.fault_specs);
     } else if (key == "detector") {
       take_sub_specs(entry, tokens, detect::check_detector_spec,
                      spec.detector_specs);

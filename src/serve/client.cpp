@@ -8,10 +8,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "serve/net_util.hpp"
 #include "telemetry/telemetry.hpp"
@@ -23,6 +23,18 @@ namespace {
 int poll_one(int fd, short events, int timeout_ms) {
   pollfd p{.fd = fd, .events = events, .revents = 0};
   return ::poll(&p, 1, timeout_ms) > 0 ? p.revents : 0;
+}
+
+/// ACK cadence: acknowledge every N accepted estimates so the server can
+/// trim its replay buffer.
+constexpr std::size_t kAckEvery = 32;
+
+/// Cap on one ::send on the blocking socket, so a full socket buffer can
+/// only stall one bounded write instead of the whole remaining trace.
+constexpr std::size_t kMaxSendChunk = 16 * 1024;
+
+bool transient(int err) {
+  return err == EINTR || err == EAGAIN || err == EWOULDBLOCK;
 }
 
 int remaining_ms(std::uint64_t deadline_abs_ns) {
@@ -119,7 +131,7 @@ std::optional<Frame> SessionClient::recv_frame(std::uint64_t deadline_ns) {
       reason_ = "connection closed by server";
       return std::nullopt;
     }
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+    if (transient(errno)) continue;
     reason_ = std::string("recv failed: ") + errno_string(errno);
     return std::nullopt;
   }
@@ -164,126 +176,141 @@ SessionClient::OpenReply SessionClient::open_session(
   return reply;
 }
 
-SessionClient::StreamResult SessionClient::stream(
-    const std::vector<MeasurementFrame>& measurements,
-    std::uint64_t deadline_ns) {
-  StreamResult result;
-  if (fd_ < 0) {
-    result.transport_error = "stream on closed client";
-    return result;
-  }
+StreamEnd SessionClient::stream(const std::vector<MeasurementFrame>& trace,
+                                std::size_t from, StreamResult& into,
+                                std::uint64_t deadline_ns) {
+  const auto end = [&into](StreamEnd how, std::string detail) {
+    into.complete = how == StreamEnd::kComplete;
+    into.detail = std::move(detail);
+    return how;
+  };
+  if (fd_ < 0) return end(StreamEnd::kCut, "stream on closed client");
+  const std::int64_t final_step =
+      trace.empty() ? into.last_step : trace.back().step;
 
-  // Pre-encode the whole trace into one buffer and remember where each
+  // Pre-encode the rest of the trace into one buffer and remember where each
   // frame ends, so a frame's send timestamp is taken when its final byte
-  // leaves the socket.
+  // leaves the socket. ACKs are appended behind it as estimates arrive.
   std::vector<std::uint8_t> out;
   std::vector<std::size_t> frame_end;
-  std::vector<std::int64_t> frame_step;
-  frame_end.reserve(measurements.size());
-  frame_step.reserve(measurements.size());
-  for (const MeasurementFrame& m : measurements) {
-    const std::vector<std::uint8_t> bytes = encode(m);
+  for (std::size_t i = from; i < trace.size(); ++i) {
+    const std::vector<std::uint8_t> bytes = encode(trace[i]);
     out.insert(out.end(), bytes.begin(), bytes.end());
     frame_end.push_back(out.size());
-    frame_step.push_back(m.step);
   }
-  std::unordered_map<std::int64_t, std::uint64_t> send_ns;
-  send_ns.reserve(measurements.size());
-
-  const std::uint64_t deadline_abs = telemetry::now_ns() + deadline_ns;
   std::size_t sent = 0;
-  std::size_t next_stamp = 0;
-  const std::size_t expected = measurements.size();
+  std::size_t stamped = 0;
+  std::size_t since_ack = 0;
+  const std::uint64_t deadline_abs = telemetry::now_ns() + deadline_ns;
 
-  const auto pump_decoder = [&]() -> bool {  // false = stream ended
-    while (true) {
-      const std::optional<Frame> frame = decoder_.next();
-      if (!frame.has_value()) break;
+  // Takes every complete frame off the decoder; nullopt while the stream
+  // goes on.
+  const auto drain = [&]() -> std::optional<StreamEnd> {
+    for (std::optional<Frame> frame = decoder_.next(); frame.has_value();
+         frame = decoder_.next()) {
       std::string error;
       switch (frame->type) {
         case FrameType::kEstimate: {
           EstimateFrame estimate;
           if (!decode(*frame, estimate, &error)) {
-            result.transport_error = "bad ESTIMATE: " + error;
-            return false;
+            return end(StreamEnd::kCut, "bad ESTIMATE: " + error);
           }
-          const std::uint64_t now = telemetry::now_ns();
-          const auto it = send_ns.find(estimate.step);
-          result.latencies_ns.push_back(
-              it == send_ns.end() ? 0 : now - it->second);
-          result.estimates.push_back(estimate);
-          result.estimate_frames.push_back(encode(estimate));
+          if (estimate.step <= into.last_step) {
+            ++into.duplicates_discarded;
+            break;
+          }
+          if (estimate.step != into.last_step + 1) {
+            return end(StreamEnd::kProtocol,
+                       "estimate step " + std::to_string(estimate.step) +
+                           " after step " + std::to_string(into.last_step));
+          }
+          const auto sent_at = into.first_send_ns.find(estimate.step);
+          into.latencies_ns.push_back(sent_at == into.first_send_ns.end()
+                                          ? 0
+                                          : telemetry::now_ns() -
+                                                sent_at->second);
+          into.estimates.push_back(estimate);
+          into.estimate_frames.push_back(encode(estimate));
+          into.last_step = estimate.step;
+          if (++since_ack == kAckEvery) {
+            since_ack = 0;
+            const std::vector<std::uint8_t> ack =
+                encode(AckFrame{.last_step = estimate.step});
+            out.insert(out.end(), ack.begin(), ack.end());
+          }
           break;
         }
         case FrameType::kChallengeResult: {
           ChallengeResultFrame challenge;
           if (!decode(*frame, challenge, &error)) {
-            result.transport_error = "bad CHALLENGE_RESULT: " + error;
-            return false;
+            return end(StreamEnd::kCut, "bad CHALLENGE_RESULT: " + error);
           }
-          result.challenges.push_back(challenge);
+          if (into.challenges.empty() ||
+              challenge.step > into.challenges.back().step) {
+            into.challenges.push_back(challenge);
+          } else {
+            ++into.duplicates_discarded;
+          }
           break;
         }
         case FrameType::kStatus: {
           StatusFrame status;
           if (!decode(*frame, status, &error)) {
-            result.transport_error = "bad STATUS: " + error;
-            return false;
+            return end(StreamEnd::kCut, "bad STATUS: " + error);
           }
-          result.status = status;
-          return false;  // draining / slow consumer / idle timeout ends it
+          // Slow consumer / idle timeout: the connection is gone but the
+          // session may be resumable.
+          const StreamEnd how =
+              status.code == StatusCode::kOverloaded ? StreamEnd::kOverloaded
+              : status.code == StatusCode::kDraining ? StreamEnd::kDraining
+                                                     : StreamEnd::kCut;
+          return end(how, std::string(to_string(status.code)) + ": " +
+                              status.message);
         }
         case FrameType::kError: {
           ErrorFrame err;
           if (!decode(*frame, err, &error)) {
-            result.transport_error = "bad ERROR: " + error;
-            return false;
+            return end(StreamEnd::kCut, "bad ERROR: " + error);
           }
-          result.error = err;
-          return false;
+          return end(StreamEnd::kServerError,
+                     std::string(to_string(err.code)) + ": " + err.message);
         }
         default:
-          result.transport_error =
-              std::string("unexpected frame ") + to_string(frame->type);
-          return false;
+          return end(StreamEnd::kProtocol,
+                     std::string("unexpected frame ") + to_string(frame->type));
       }
     }
     if (decoder_.failed()) {
-      result.transport_error = "decode failed: " + decoder_.error();
-      return false;
+      // Corrupted bytes (chaos): a clean link may resume.
+      return end(StreamEnd::kCut, "decode failed: " + decoder_.error());
     }
-    return true;
+    return std::nullopt;
   };
 
-  while (result.estimates.size() < expected) {
-    if (!pump_decoder()) return result;
-    if (result.estimates.size() >= expected) break;
+  while (into.last_step < final_step) {
+    if (const std::optional<StreamEnd> ended = drain()) return *ended;
+    if (into.last_step >= final_step) break;
 
     const int timeout = remaining_ms(deadline_abs);
-    if (timeout == 0) {
-      result.transport_error = "timed out mid-stream";
-      return result;
-    }
+    if (timeout == 0) return end(StreamEnd::kDeadline, "timed out mid-stream");
     short events = POLLIN;
     if (sent < out.size()) events = static_cast<short>(events | POLLOUT);
     const int revents = poll_one(fd_, events, timeout);
 
     if ((revents & POLLOUT) != 0 && sent < out.size()) {
-      const ssize_t n =
-          ::send(fd_, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
+      const ssize_t n = ::send(fd_, out.data() + sent,
+                               std::min(out.size() - sent, kMaxSendChunk),
+                               MSG_NOSIGNAL);
       if (n > 0) {
         sent += static_cast<std::size_t>(n);
         const std::uint64_t now = telemetry::now_ns();
-        while (next_stamp < frame_end.size() &&
-               frame_end[next_stamp] <= sent) {
-          send_ns.emplace(frame_step[next_stamp], now);
-          ++next_stamp;
+        for (; stamped < frame_end.size() && frame_end[stamped] <= sent;
+             ++stamped) {
+          into.first_send_ns.emplace(trace[from + stamped].step, now);
         }
-      } else if (n < 0 && errno != EINTR && errno != EAGAIN &&
-                 errno != EWOULDBLOCK) {
-        result.transport_error =
-            std::string("send failed: ") + errno_string(errno);
-        return result;
+      } else if (n < 0 && !transient(errno)) {
+        return end(StreamEnd::kCut,
+                   std::string("send failed: ") + errno_string(errno));
       }
     }
     if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
@@ -292,18 +319,27 @@ SessionClient::StreamResult SessionClient::stream(
       if (n > 0) {
         decoder_.feed(buffer, static_cast<std::size_t>(n));
       } else if (n == 0) {
-        if (!pump_decoder()) return result;
-        result.transport_error = "connection closed mid-stream";
-        return result;
-      } else if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
-        result.transport_error =
-            std::string("recv failed: ") + errno_string(errno);
-        return result;
+        if (const std::optional<StreamEnd> ended = drain()) return *ended;
+        if (into.last_step >= final_step) break;
+        return end(StreamEnd::kCut, "connection closed mid-stream");
+      } else if (!transient(errno)) {
+        return end(StreamEnd::kCut,
+                   std::string("recv failed: ") + errno_string(errno));
       }
     }
   }
+  // Finish a partly sent ACK, so the caller may send further frames.
+  // Best-effort: a lost ACK only delays the server's cleanup.
+  (void)send_all(out.data() + sent, out.size() - sent);
+  return end(StreamEnd::kComplete, {});
+}
 
-  result.complete = result.estimates.size() == expected;
+SessionClient::StreamResult SessionClient::stream(
+    const std::vector<MeasurementFrame>& measurements,
+    std::uint64_t deadline_ns) {
+  StreamResult result;
+  if (!measurements.empty()) result.last_step = measurements.front().step - 1;
+  (void)stream(measurements, 0, result, deadline_ns);
   return result;
 }
 

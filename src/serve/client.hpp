@@ -1,20 +1,36 @@
-// Blocking-with-deadline client for the streaming session protocol.
+// The client for the streaming session protocol (DESIGN.md §12, §13).
 //
-// Used by the load generator, the loopback tests, and the serving
-// throughput ablation. stream() interleaves sends and receives through
-// poll() — it never writes the whole trace before reading, because the
-// server's outbound backpressure would (correctly) disconnect a peer that
-// streams without draining its replies.
+// SessionClient is the one connection type: the load generator, the
+// resilient client, the loopback tests and the serving throughput ablation
+// all reach the server through it. stream() is the one streaming loop. It
+// interleaves sends and receives through poll() and never writes the whole
+// trace before reading, because the server's outbound backpressure would
+// (correctly) disconnect a peer that streams without draining its replies.
+// It also continues a resumed session: an estimate the server replays at or
+// below the last accepted step is discarded, and an ACK after every 32
+// accepted estimates lets the server trim its replay buffer.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "serve/wire.hpp"
 
 namespace safe::serve {
+
+/// How one SessionClient::stream() call ended.
+enum class StreamEnd : std::uint8_t {
+  kComplete,     ///< the estimate of the trace's last step arrived
+  kCut,          ///< link lost or corrupted, or a resumable STATUS
+  kOverloaded,   ///< STATUS kOverloaded: shed, resumable after a backoff
+  kDraining,     ///< STATUS kDraining: the server is going away
+  kServerError,  ///< a fatal ERROR frame
+  kProtocol,     ///< an estimate out of step order, or an unexpected frame
+  kDeadline,
+};
 
 class SessionClient {
  public:
@@ -41,21 +57,36 @@ class SessionClient {
   OpenReply open_session(const HelloFrame& hello,
                          std::uint64_t deadline_ns = kDefaultDeadlineNs);
 
+  /// What a session has delivered, in step order. A resumed session passes
+  /// the same StreamResult to each stream() call, so it spans reconnects.
   struct StreamResult {
-    bool complete = false;  ///< one ESTIMATE arrived per MEASUREMENT sent
+    bool complete = false;  ///< the last stream() call ended kComplete
+    std::string detail;     ///< why the last stream() call ended short
+    std::int64_t last_step = -1;  ///< step of the last accepted estimate
     std::vector<EstimateFrame> estimates;
-    /// Raw wire bytes of each ESTIMATE frame, in arrival order — the
+    /// Raw wire bytes of each ESTIMATE frame, in step order — the
     /// byte-parity artifact compared against offline encoding.
     std::vector<std::vector<std::uint8_t>> estimate_frames;
     std::vector<ChallengeResultFrame> challenges;
-    /// Send-to-receive latency of each ESTIMATE, aligned with `estimates`.
+    /// Latency of each estimate, aligned with `estimates`, timed from the
+    /// first send of its measurement (so a replay after a reconnect
+    /// includes the outage).
     std::vector<std::uint64_t> latencies_ns;
-    std::optional<StatusFrame> status;  ///< unsolicited STATUS that ended it
-    std::optional<ErrorFrame> error;
-    std::string transport_error;
+    std::uint64_t duplicates_discarded = 0;  ///< replayed frames already held
+    /// First send time per step, kept across stream() calls.
+    std::unordered_map<std::int64_t, std::uint64_t> first_send_ns;
   };
 
-  /// Streams the measurement trace and collects every reply frame.
+  /// Sends trace[from..] on an open session and appends every new reply to
+  /// `into`, until it holds the estimate of the trace's last step. An
+  /// estimate at or below into.last_step is a replay and is discarded; any
+  /// other must be its successor, and a gap ends the stream as kProtocol.
+  StreamEnd stream(const std::vector<MeasurementFrame>& trace,
+                   std::size_t from, StreamResult& into,
+                   std::uint64_t deadline_ns = kDefaultDeadlineNs);
+
+  /// Streams `measurements`, whose first step is the next one the session
+  /// expects, and collects every reply.
   StreamResult stream(const std::vector<MeasurementFrame>& measurements,
                       std::uint64_t deadline_ns = kDefaultDeadlineNs);
 

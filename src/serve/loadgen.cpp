@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "runtime/seed.hpp"
-#include "serve/client.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace safe::serve {
@@ -28,15 +27,14 @@ SessionErrorKind classify(StreamFailure failure) {
     case StreamFailure::kHandshake:
     case StreamFailure::kResumeRejected:
       return SessionErrorKind::kHandshakeRejected;
+    case StreamFailure::kOverloaded: return SessionErrorKind::kOverloaded;
     case StreamFailure::kDeadline: return SessionErrorKind::kDeadlineExceeded;
     case StreamFailure::kServerStatus: return SessionErrorKind::kServerStatus;
     case StreamFailure::kServerError: return SessionErrorKind::kServerError;
-    case StreamFailure::kTransport: return SessionErrorKind::kTransport;
-    case StreamFailure::kAttemptsExhausted:
-      return SessionErrorKind::kRetriesExhausted;
-    case StreamFailure::kNone: break;
+    case StreamFailure::kNone:
+    case StreamFailure::kTransport: break;
   }
-  return SessionErrorKind::kIncompleteStream;
+  return SessionErrorKind::kTransport;
 }
 
 /// The offline reference for a trace, encoded as the server would send it.
@@ -97,16 +95,16 @@ const char* to_string(SessionErrorKind kind) {
     case SessionErrorKind::kTransport: return "transport";
     case SessionErrorKind::kServerError: return "server-error";
     case SessionErrorKind::kServerStatus: return "server-status";
-    case SessionErrorKind::kIncompleteStream: return "incomplete-stream";
     case SessionErrorKind::kTraceGeneration: return "trace-generation";
-    case SessionErrorKind::kRetriesExhausted: return "retries-exhausted";
   }
   return "?";
 }
 
 LoadReport run_load(const LoadOptions& options) {
-  if (options.sessions == 0 || options.connections == 0) {
-    throw std::invalid_argument("loadgen needs >=1 session and connection");
+  if (options.sessions == 0 || options.connections == 0 ||
+      options.retry.max_attempts == 0) {
+    throw std::invalid_argument(
+        "loadgen needs >=1 session, connection and attempt");
   }
   if (options.port == 0) {
     throw std::invalid_argument("loadgen needs an explicit port");
@@ -127,12 +125,8 @@ LoadReport run_load(const LoadOptions& options) {
     if (failed) ++report.sessions_failed;
     ++report.error_counts[static_cast<std::size_t>(kind)];
     if (report.session_errors.size() < 16) {
-      report.session_errors.push_back(
-          SessionError{.session = index, .kind = kind, .detail = detail});
-    }
-    if (report.errors.size() < 8) {
-      report.errors.push_back("loadgen-" + std::to_string(index) + ": [" +
-                              to_string(kind) + "] " + std::move(detail));
+      report.session_errors.push_back(SessionError{
+          .session = index, .kind = kind, .detail = std::move(detail)});
     }
   };
 
@@ -167,137 +161,49 @@ LoadReport run_load(const LoadOptions& options) {
   for_each_index(workers, options.sessions, [&](std::size_t index) {
     const PreparedSession& session = prepared[index];
     if (!session.ready) return;
-    const TraceSpec& spec = session.spec;
-    const std::vector<MeasurementFrame>& trace = session.trace;
-    const std::string client_id = "loadgen-" + std::to_string(index);
+    RetryPolicy policy = options.retry;
+    policy.jitter_seed = runtime::derive_seed(
+        options.master_seed, runtime::SeedStream::kRetry,
+        static_cast<std::uint64_t>(index));
+    const ResilientResult result =
+        ResilientClient(options.host, options.port, policy)
+            .run(session.spec, "loadgen-" + std::to_string(index),
+                 session.trace, options.deadline_ns);
 
-    if (options.retry_attempts > 0) {
-      RetryPolicy policy = options.retry;
-      policy.max_attempts = options.retry_attempts;
-      policy.jitter_seed = runtime::derive_seed(
-          options.master_seed, runtime::SeedStream::kRetry,
-          static_cast<std::uint64_t>(index));
-      ResilientClient resilient(options.host, options.port, policy);
-      const ResilientResult result =
-          resilient.run(spec, client_id, trace, options.deadline_ns);
-
-      std::uint64_t mismatches = 0;
-      if (options.verify && result.complete) {
-        mismatches =
-            count_mismatches(session.reference, result.estimate_frames);
-      }
-      {
-        std::lock_guard<std::mutex> guard(merge_mutex);
-        report.frames_sent += trace.size();
-        report.estimates_received += result.estimates.size();
-        report.challenges_received += result.challenges.size();
-        report.verify_mismatched_frames += mismatches;
-        if (options.verify && result.complete && mismatches == 0) {
-          ++report.sessions_verified;
-        }
-        if (result.complete) ++report.sessions_completed;
-        report.reconnects += result.reconnects;
-        report.resumes += result.resumes;
-        report.restarts += result.restarts;
-        report.overload_backoffs += result.overload_backoffs;
-        report.duplicates_discarded += result.duplicates_discarded;
-        report.replayed_frames += result.replayed_frames;
-        all_latencies.insert(all_latencies.end(),
-                             result.latencies_ns.begin(),
-                             result.latencies_ns.end());
-      }
-      if (!result.complete) {
-        record_error(index, classify(result.failure),
-                     std::string(to_string(result.failure)) +
-                         (result.failure_detail.empty()
-                              ? ""
-                              : ": " + result.failure_detail));
-      } else if (mismatches != 0) {
-        record_error(index, SessionErrorKind::kVerifyMismatch,
-                     std::to_string(mismatches) +
-                         " estimate frames differ from offline reference",
-                     /*failed=*/false);
-      }
-      return;
-    }
-
-    SessionClient client;
-    try {
-      client.connect(options.host, options.port);
-    } catch (const std::exception& e) {
-      record_error(index, SessionErrorKind::kConnectRefused, e.what());
-      return;
-    }
-    const SessionClient::OpenReply open =
-        client.open_session(hello_from(spec, client_id),
-                            options.deadline_ns);
-    if (!open.ok) {
-      SessionErrorKind kind = SessionErrorKind::kHandshakeRejected;
-      std::string why;
-      if (open.has_error) {
-        why = open.error.message;
-      } else if (!open.transport_error.empty()) {
-        kind = SessionErrorKind::kTransport;
-        why = open.transport_error;
-      } else {
-        if (open.status.code == StatusCode::kOverloaded) {
-          kind = SessionErrorKind::kOverloaded;
-        }
-        why = std::string(to_string(open.status.code)) + ": " +
-              open.status.message;
-      }
-      record_error(index, kind, "handshake failed: " + why);
-      return;
-    }
-
-    SessionClient::StreamResult stream =
-        client.stream(trace, options.deadline_ns);
     std::uint64_t mismatches = 0;
-    std::size_t verified = 0;
-    if (options.verify && stream.complete) {
-      mismatches = count_mismatches(session.reference, stream.estimate_frames);
-      if (mismatches == 0) verified = 1;
+    if (options.verify && result.complete) {
+      mismatches = count_mismatches(session.reference, result.estimate_frames);
     }
-
     {
       std::lock_guard<std::mutex> guard(merge_mutex);
-      report.frames_sent += trace.size();
-      report.estimates_received += stream.estimates.size();
-      report.challenges_received += stream.challenges.size();
+      report.frames_sent += session.trace.size();
+      report.estimates_received += result.estimates.size();
+      report.challenges_received += result.challenges.size();
       report.verify_mismatched_frames += mismatches;
-      report.sessions_verified += verified;
-      all_latencies.insert(all_latencies.end(),
-                           stream.latencies_ns.begin(),
-                           stream.latencies_ns.end());
-      if (stream.complete) ++report.sessions_completed;
+      if (options.verify && result.complete && mismatches == 0) {
+        ++report.sessions_verified;
+      }
+      if (result.complete) ++report.sessions_completed;
+      report.reconnects += result.reconnects;
+      report.resumes += result.resumes;
+      report.restarts += result.restarts;
+      report.overload_backoffs += result.overload_backoffs;
+      report.duplicates_discarded += result.duplicates_discarded;
+      report.replayed_frames += result.replayed_frames;
+      all_latencies.insert(all_latencies.end(), result.latencies_ns.begin(),
+                           result.latencies_ns.end());
     }
-    if (stream.complete) {
-      if (mismatches != 0) {
-        record_error(index, SessionErrorKind::kVerifyMismatch,
-                     std::to_string(mismatches) +
-                         " estimate frames differ from offline reference",
-                     /*failed=*/false);
-      }
-    } else {
-      SessionErrorKind kind = SessionErrorKind::kIncompleteStream;
-      std::string why = stream.transport_error;
-      if (!why.empty()) {
-        kind = why.find("timed out") != std::string::npos
-                   ? SessionErrorKind::kDeadlineExceeded
-                   : SessionErrorKind::kTransport;
-      } else if (stream.error.has_value()) {
-        kind = SessionErrorKind::kServerError;
-        why = "server ERROR: " + stream.error->message;
-      } else if (stream.status.has_value()) {
-        kind = stream.status->code == StatusCode::kOverloaded
-                   ? SessionErrorKind::kOverloaded
-                   : SessionErrorKind::kServerStatus;
-        why = std::string("server STATUS ") +
-              to_string(stream.status->code) + ": " +
-              stream.status->message;
-      }
-      if (why.empty()) why = "incomplete stream";
-      record_error(index, kind, why);
+    if (!result.complete) {
+      record_error(index, classify(result.failure),
+                   std::string(to_string(result.failure)) +
+                       (result.failure_detail.empty()
+                            ? ""
+                            : ": " + result.failure_detail));
+    } else if (mismatches != 0) {
+      record_error(index, SessionErrorKind::kVerifyMismatch,
+                   std::to_string(mismatches) +
+                       " estimate frames differ from offline reference",
+                   /*failed=*/false);
     }
   });
   report.elapsed_ns = telemetry::now_ns() - start_ns;
@@ -372,12 +278,6 @@ std::string to_json(const LoadReport& report) {
         << to_string(error.kind) << "\",\"detail\":";
     escape(out, error.detail);
     out << "}";
-  }
-  out << "]";
-  out << ",\"errors\":[";
-  for (std::size_t i = 0; i < report.errors.size(); ++i) {
-    if (i > 0) out << ",";
-    escape(out, report.errors[i]);
   }
   out << "]}";
   return out.str();

@@ -7,12 +7,14 @@
 // run_offline() reference — the serving parity check used by tests, the CI
 // smoke job, and the throughput ablation.
 //
-// With retry_attempts > 0 each session runs through a ResilientClient
-// instead of a bare SessionClient: disconnects and overload sheds are
-// survived via RESUME + backoff, and the report carries the resilience
-// counters (reconnects, resumes, restarts, replays). Failures are recorded
-// under a structured taxonomy (SessionErrorKind) so a chaos soak can
-// distinguish connect-refused from deadline-exceeded from verify-mismatch.
+// Every session runs through a ResilientClient under options.retry. The
+// default policy makes one connection attempt; with more, disconnects and
+// overload sheds are survived via RESUME + backoff, and the report carries
+// the resilience counters (reconnects, resumes, restarts, replays).
+// Failures are recorded under a structured taxonomy (SessionErrorKind),
+// classified by the last attempt's cause, so a chaos soak can distinguish
+// connect-refused from overloaded from deadline-exceeded from
+// verify-mismatch.
 #pragma once
 
 #include <array>
@@ -28,26 +30,24 @@ namespace safe::serve {
 
 /// Structured failure classification for one load-generator session.
 enum class SessionErrorKind : std::uint8_t {
-  kConnectRefused = 0,   ///< TCP connect failed (every attempt)
+  kConnectRefused = 0,   ///< TCP connect failed
   kHandshakeRejected,    ///< server answered HELLO/RESUME with a fatal ERROR
-  kOverloaded,           ///< shed with STATUS kOverloaded and never admitted
+  kOverloaded,           ///< shed with STATUS kOverloaded
   kDeadlineExceeded,     ///< per-session deadline expired
   kVerifyMismatch,       ///< estimate bytes differ from the offline reference
   kTransport,            ///< socket/decoder failure mid-stream
   kServerError,          ///< fatal mid-stream ERROR frame
   kServerStatus,         ///< non-retryable STATUS (e.g. draining)
-  kIncompleteStream,     ///< stream ended short without a better reason
   kTraceGeneration,      ///< local scenario simulation threw
-  kRetriesExhausted,     ///< retry budget spent before completion
 };
 
-inline constexpr std::size_t kSessionErrorKindCount = 11;
+inline constexpr std::size_t kSessionErrorKindCount = 9;
 
 [[nodiscard]] const char* to_string(SessionErrorKind kind);
 
 struct SessionError {
   std::size_t session = 0;
-  SessionErrorKind kind = SessionErrorKind::kIncompleteStream;
+  SessionErrorKind kind = SessionErrorKind::kTransport;
   std::string detail;
 };
 
@@ -63,11 +63,9 @@ struct LoadOptions {
   std::uint64_t master_seed = 1;
   bool verify = false;  ///< byte-compare estimates vs run_offline()
   std::uint64_t deadline_ns = 60'000'000'000ULL;  ///< per-session budget
-  /// 0 = plain single-connection clients (legacy). > 0 = resilient clients
-  /// with this many connection attempts per session; `retry` supplies the
-  /// backoff shape (its jitter_seed is re-derived per session index).
-  std::size_t retry_attempts = 0;
-  RetryPolicy retry{};
+  /// Connection attempts and backoff per session; one attempt by default.
+  /// Its jitter_seed is re-derived per session index.
+  RetryPolicy retry{.max_attempts = 1};
 };
 
 struct LoadReport {
@@ -86,7 +84,7 @@ struct LoadReport {
   std::uint64_t latency_p99_ns = 0;
   std::uint64_t latency_max_ns = 0;
 
-  // Resilience aggregates (all zero in legacy mode).
+  // Resilience aggregates (all zero with one attempt per session).
   std::uint64_t reconnects = 0;
   std::uint64_t resumes = 0;
   std::uint64_t restarts = 0;
@@ -98,8 +96,6 @@ struct LoadReport {
   std::array<std::uint64_t, kSessionErrorKindCount> error_counts{};
   /// First few structured failures (per-session), for diagnostics.
   std::vector<SessionError> session_errors;
-  /// Same failures as flat strings (legacy diagnostics surface).
-  std::vector<std::string> errors;
 
   [[nodiscard]] bool ok() const {
     return sessions_failed == 0 && verify_mismatched_frames == 0 &&
@@ -108,7 +104,7 @@ struct LoadReport {
 };
 
 /// Runs the load; blocking. Throws std::invalid_argument on nonsensical
-/// options (zero sessions/connections, port 0).
+/// options (zero sessions/connections/attempts, port 0).
 [[nodiscard]] LoadReport run_load(const LoadOptions& options);
 
 /// Machine-readable single-object JSON rendering of the report.

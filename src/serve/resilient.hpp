@@ -1,16 +1,17 @@
 // Retrying session client with resumption and exactly-once delivery
 // accounting (DESIGN.md §13).
 //
-// ResilientClient wraps SessionClient in a reconnect state machine: on a
-// disconnect or an explicit STATUS kOverloaded shed it backs off
-// (exponential with SplitMix64 jitter), reconnects, and sends
-// RESUME(token, last_step). The server replays retained frames after
-// last_step; the client discards any estimate at or below the last step it
-// already accepted, so every step is delivered exactly once no matter how
-// many times the stream is cut. When a resume is rejected (kResumeUnknown /
-// kResumeGap) the session restarts from scratch — a fresh pipeline is still
-// byte-identical to the offline reference, so the parity contract holds
-// either way.
+// ResilientClient is a reconnect state machine around SessionClient. A
+// fresh session opens with HELLO; after a disconnect or an explicit STATUS
+// kOverloaded shed it backs off (exponential with SplitMix64 jitter),
+// reconnects, and sends RESUME(token, last_step). The server replays
+// retained frames after last_step, and SessionClient::stream() discards any
+// estimate at or below the last step already accepted, so every step is
+// delivered exactly once no matter how many times the stream is cut. When a
+// resume is rejected (kResumeUnknown / kResumeGap) the session restarts from
+// scratch — a fresh pipeline is still byte-identical to the offline
+// reference, so the parity contract holds either way. A policy of one
+// attempt is a plain single-connection session.
 #pragma once
 
 #include <cstdint>
@@ -26,41 +27,32 @@ namespace safe::serve {
 /// Reconnect/backoff policy. Jitter is deterministic per (seed) — two runs
 /// with the same seed draw the same jitter sequence.
 struct RetryPolicy {
-  std::size_t max_attempts = 8;  ///< total connection attempts per session
+  std::size_t max_attempts = 8;  ///< total connection attempts (>= 1)
+  /// Backoff before the second attempt; it doubles per attempt up to max.
   std::uint64_t initial_backoff_ns = 25'000'000ULL;  ///< 25 ms
   std::uint64_t max_backoff_ns = 1'000'000'000ULL;   ///< 1 s
-  double multiplier = 2.0;
   std::uint64_t jitter_seed = 1;
-  /// ACK cadence: acknowledge received estimates every N steps so the
-  /// server can trim its replay buffer.
-  std::size_t ack_every = 32;
 };
 
-/// Why a resilient run gave up (kNone on success).
+/// Why a resilient run gave up (kNone on success). When the retry budget
+/// runs out, it is the last attempt's cause.
 enum class StreamFailure : std::uint8_t {
   kNone = 0,
-  kConnect,            ///< every attempt failed to connect
-  kHandshake,          ///< server rejected HELLO with a fatal ERROR
-  kResumeRejected,     ///< server rejected RESUME with a fatal ERROR
-  kDeadline,           ///< overall deadline expired
-  kServerStatus,       ///< non-retryable STATUS (e.g. draining)
-  kServerError,        ///< mid-stream fatal ERROR frame
-  kTransport,          ///< unrecoverable transport/protocol failure
-  kAttemptsExhausted,  ///< retry budget spent before completion
+  kConnect,         ///< the TCP connect failed
+  kHandshake,       ///< server rejected HELLO with a fatal ERROR
+  kResumeRejected,  ///< server rejected RESUME with a fatal ERROR
+  kOverloaded,      ///< shed with STATUS kOverloaded
+  kDeadline,        ///< overall deadline expired
+  kServerStatus,    ///< non-retryable STATUS (e.g. draining)
+  kServerError,     ///< mid-stream fatal ERROR frame
+  kTransport,       ///< transport cut or protocol failure
 };
 
 [[nodiscard]] const char* to_string(StreamFailure failure);
 
-struct ResilientResult {
-  bool complete = false;
-  std::vector<EstimateFrame> estimates;
-  /// Raw wire bytes per accepted ESTIMATE, in step order (parity artifact).
-  std::vector<std::vector<std::uint8_t>> estimate_frames;
-  std::vector<ChallengeResultFrame> challenges;
-  /// Send-to-receive latency per accepted estimate, timed from the first
-  /// send of its measurement (so a replay after a reconnect includes the
-  /// outage).
-  std::vector<std::uint64_t> latencies_ns;
+/// What every attempt together delivered (the StreamResult part, which
+/// a restart clears), plus the reconnect accounting.
+struct ResilientResult : SessionClient::StreamResult {
   std::uint64_t session_token = 0;
 
   std::size_t connects = 0;    ///< successful TCP connects
@@ -68,7 +60,6 @@ struct ResilientResult {
   std::size_t resumes = 0;     ///< RESUME handshakes accepted
   std::size_t restarts = 0;    ///< fresh-session restarts (resume rejected)
   std::size_t overload_backoffs = 0;  ///< STATUS kOverloaded sheds honored
-  std::uint64_t duplicates_discarded = 0;  ///< replayed frames already held
   std::uint64_t replayed_frames = 0;  ///< frames the server replayed for us
 
   StreamFailure failure = StreamFailure::kNone;
@@ -77,6 +68,7 @@ struct ResilientResult {
 
 class ResilientClient {
  public:
+  /// Throws std::invalid_argument when policy.max_attempts is 0.
   ResilientClient(std::string host, std::uint16_t port, RetryPolicy policy);
 
   /// Streams `trace` for `spec`, surviving disconnects and sheds, until

@@ -153,11 +153,7 @@ SessionManager::OpenResult SessionManager::open(const HelloFrame& hello,
     return result;
   };
 
-  // Older clients stay accepted: a v1/v2 HELLO decodes with detector_spec
-  // empty, which selects the paper CRA detector — the only behaviour those
-  // versions could express.
-  if (hello.protocol_version < 1 ||
-      hello.protocol_version > kProtocolVersion) {
+  if (hello.protocol_version != kProtocolVersion) {
     return rejected(ErrorCode::kUnsupportedVersion,
                     "protocol version " +
                         std::to_string(hello.protocol_version) +

@@ -174,11 +174,7 @@ std::vector<std::uint8_t> encode(const HelloFrame& hello) {
   w.f64(hello.attack_end_s.value());
   w.str(hello.client_id, kMaxClientIdBytes);
   w.str(hello.fault_spec, kMaxFaultSpecBytes);
-  // v3 appends the detector spec; a frame declaring v1/v2 keeps the old
-  // layout so downgraded HELLOs stay decodable by old servers.
-  if (hello.protocol_version >= 3) {
-    w.str(hello.detector_spec, kMaxDetectorSpecBytes);
-  }
+  w.str(hello.detector_spec, kMaxDetectorSpecBytes);
   return std::move(w).finish(FrameType::kHello);
 }
 
@@ -281,11 +277,7 @@ bool decode(const Frame& frame, HelloFrame& out, std::string* error) {
       !r.i64(out.horizon_steps) || !r.u8(leader) || !r.u8(attack) ||
       !r.u8(estimator) || !r.u8(hardened) || !r.f64(start_s) ||
       !r.f64(end_s) || !r.str(out.client_id, kMaxClientIdBytes) ||
-      !r.str(out.fault_spec, kMaxFaultSpecBytes)) {
-    return reject(error, "HELLO payload truncated or string too long");
-  }
-  out.detector_spec.clear();
-  if (out.protocol_version >= 3 &&
+      !r.str(out.fault_spec, kMaxFaultSpecBytes) ||
       !r.str(out.detector_spec, kMaxDetectorSpecBytes)) {
     return reject(error, "HELLO payload truncated or string too long");
   }

@@ -28,20 +28,18 @@
 
 namespace safe::serve {
 
-/// Bumped on any incompatible framing or payload change. A HELLO carrying a
-/// newer version than the server speaks is rejected with
-/// ErrorCode::kUnsupportedVersion; older versions stay accepted (a v3 server
-/// decodes v1/v2 HELLOs and treats the missing fields as defaults).
-/// v2 adds session resumption (RESUME / RESUME_OK / ACK frames), the
-/// kOverloaded status, and the resume error codes.
-/// v3 appends `detector_spec` to HELLO (per-session detection backend) and
-/// the kUnknownDetector error code.
+/// Bumped on any incompatible framing or payload change. The server speaks
+/// exactly this version: a HELLO carrying any other is rejected with
+/// ErrorCode::kUnsupportedVersion. v2 added session resumption (RESUME /
+/// RESUME_OK / ACK frames), the kOverloaded status and the resume error
+/// codes; v3 appended `detector_spec` to HELLO (per-session detection
+/// backend) and the kUnknownDetector error code.
 inline constexpr std::uint16_t kProtocolVersion = 3;
 
 /// Header: u32 payload length + u8 frame type.
 inline constexpr std::size_t kHeaderBytes = 5;
 
-/// Hard ceiling on a single payload. Every v1 frame fits comfortably; a
+/// Hard ceiling on a single payload. Every frame fits comfortably; a
 /// length prefix beyond this is rejected before any buffering, so a hostile
 /// 4 GiB prefix cannot make the decoder allocate.
 inline constexpr std::size_t kMaxPayloadBytes = 4096;
@@ -92,9 +90,8 @@ struct HelloFrame {
   units::Seconds attack_end_s{300.0};
   std::string client_id;   ///< informational; <= kMaxClientIdBytes
   std::string fault_spec;  ///< fault mini-language; <= kMaxFaultSpecBytes
-  /// Detection backend mini-language (v3+; <= kMaxDetectorSpecBytes). Empty
-  /// selects the paper's CRA detector. Absent from v1/v2 HELLOs, which
-  /// decode with it empty.
+  /// Detection backend mini-language (<= kMaxDetectorSpecBytes). Empty
+  /// selects the paper's CRA detector.
   std::string detector_spec;
 };
 

@@ -112,11 +112,15 @@ int main(int argc, char** argv) {
   append(resume_stream, encode(resume_ok));
   write_case(dir, "resume_pair", 0x07, resume_stream);
 
-  // Pre-v3 HELLO: no detector_spec field on the wire; the decoder must
-  // accept the shorter payload.
+  // Pre-v3 HELLO: the v3 layout without its trailing detector_spec field
+  // (an empty string's u16 length). The decoder rejects it as truncated.
   HelloFrame hello_v2 = hello;
   hello_v2.protocol_version = 2;
-  write_case(dir, "hello_v2", 0x24, encode(hello_v2));
+  hello_v2.detector_spec.clear();
+  Bytes v2_bytes = encode(hello_v2);
+  v2_bytes.resize(v2_bytes.size() - 2);
+  v2_bytes[0] = static_cast<std::uint8_t>(v2_bytes[0] - 2);  // payload length
+  write_case(dir, "hello_v2", 0x24, v2_bytes);
 
   // --- framing-violation regressions (PR 5/6 decoder edge cases) ----------
   // Length prefix beyond kMaxPayloadBytes: rejected before buffering.

@@ -193,6 +193,8 @@ TEST(SpecParser, RejectsMalformedInput) {
   EXPECT_THROW(parse_campaign_spec("onset = uniform(10)"),
                std::invalid_argument);
   EXPECT_THROW(parse_campaign_spec("attack = evil"), std::invalid_argument);
+  EXPECT_THROW(parse_campaign_spec("fault = \"warp:x=1\""),
+               std::invalid_argument);
   EXPECT_THROW(parse_campaign_spec("onset = uniform(240, 60)"),
                std::invalid_argument);
   // Integers carry no sign and numbers are finite. Parse only: a wrapped

@@ -2,8 +2,8 @@
 // sessions replay unacked frames on RESUME with the byte-parity contract
 // intact across the disconnect, ACK trims the replay window, grace expiry
 // and delivered (finished + final-ACKed) sessions reject resumption, and
-// admission/deadline overload
-// control sheds with STATUS kOverloaded while keeping sessions resumable.
+// admission/deadline overload control sheds with STATUS kOverloaded while
+// keeping sessions resumable (a one-attempt loadgen session reports it).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,6 +16,7 @@
 
 #include "runtime/thread_pool.hpp"
 #include "serve/client.hpp"
+#include "serve/loadgen.hpp"
 #include "serve/server.hpp"
 #include "serve/trace_source.hpp"
 #include "serve/wire.hpp"
@@ -77,7 +78,7 @@ std::uint64_t stream_prefix_then_disconnect(
   const std::vector<MeasurementFrame> prefix(
       trace.begin(), trace.begin() + static_cast<std::ptrdiff_t>(steps));
   const auto result = client.stream(prefix);
-  EXPECT_TRUE(result.complete) << result.transport_error;
+  EXPECT_TRUE(result.complete) << result.detail;
   EXPECT_EQ(result.estimates.size(), steps);
   if (estimate_frames != nullptr) *estimate_frames = result.estimate_frames;
   client.close();
@@ -143,7 +144,7 @@ TEST(ServeResume, ResumeAfterDisconnectContinuesWithByteParity) {
 
   const std::vector<MeasurementFrame> rest(trace.begin() + 30, trace.end());
   const auto result = resumed.stream(rest);
-  ASSERT_TRUE(result.complete) << result.transport_error;
+  ASSERT_TRUE(result.complete) << result.detail;
   ASSERT_EQ(result.estimates.size(), rest.size());
 
   // The stitched stream is byte-identical to the offline pipeline: the
@@ -190,7 +191,7 @@ TEST(ServeResume, ResumeReplaysUnackedEstimates) {
 
   const std::vector<MeasurementFrame> rest(trace.begin() + 30, trace.end());
   const auto result = resumed.stream(rest);
-  ASSERT_TRUE(result.complete) << result.transport_error;
+  ASSERT_TRUE(result.complete) << result.detail;
   for (std::size_t i = 0; i < result.estimate_frames.size(); ++i) {
     EXPECT_EQ(result.estimate_frames[i], encode(reference[30 + i]))
         << "step " << (30 + i);
@@ -431,6 +432,44 @@ TEST(ServeOverload, AdmissionControlShedsHelloWhileBatchesInFlight) {
   EXPECT_TRUE(admitted);
 }
 
+// A loadgen session with one attempt that is shed at HELLO reports
+// `overloaded`, the last attempt's cause.
+TEST(ServeOverload, LoadgenReportsOverloadedAtOneAttempt) {
+  ServerOptions options;
+  options.admission_max_batches = 1;
+  WedgedServer wedged(options);
+  const std::uint16_t port = wedged.server->port();
+  const TraceSpec spec = quick_spec(40);
+  const std::vector<MeasurementFrame> trace = make_measurement_trace(spec);
+
+  // Wedge one batch in flight so admission control sheds every HELLO.
+  SessionClient occupant;
+  occupant.connect("127.0.0.1", port);
+  ASSERT_TRUE(occupant.open_session(hello_from(spec, "wedged")).ok);
+  for (std::size_t i = 0; i < 4; ++i) occupant.send_raw(encode(trace[i]));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (wedged.server->stats().frames_in < 4 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GE(wedged.server->stats().frames_in, 4u);
+
+  LoadOptions load;
+  load.port = port;
+  load.connections = 1;
+  load.sessions = 1;
+  load.spec = spec;
+  const LoadReport report = run_load(load);
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.sessions_failed, 1u);
+  EXPECT_EQ(report.overload_backoffs, 1u);
+  ASSERT_EQ(report.session_errors.size(), 1u);
+  EXPECT_EQ(report.session_errors[0].kind, SessionErrorKind::kOverloaded)
+      << report.session_errors[0].detail;
+  EXPECT_EQ(wedged.server->stats().shed_hellos, 1u);
+}
+
 TEST(ServeOverload, FrameDeadlineShedsButSessionStaysResumable) {
   ServerOptions options;
   options.frame_deadline_ns = 100'000'000ULL;  // 100 ms
@@ -510,7 +549,7 @@ TEST(ServeOverload, FrameDeadlineShedsButSessionStaysResumable) {
   const std::vector<MeasurementFrame> rest(
       trace.begin() + static_cast<std::ptrdiff_t>(processed), trace.end());
   const auto result = resumed->stream(rest);
-  ASSERT_TRUE(result.complete) << result.transport_error;
+  ASSERT_TRUE(result.complete) << result.detail;
   for (std::size_t i = 0; i < result.estimate_frames.size(); ++i) {
     const std::size_t step = static_cast<std::size_t>(processed) + i;
     EXPECT_EQ(result.estimate_frames[i], encode(reference[step]))

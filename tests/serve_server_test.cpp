@@ -66,7 +66,7 @@ TEST(ServeServer, SingleSessionMatchesOfflinePipelineByteForByte) {
   EXPECT_NE(open.status.session_token, 0u);
 
   const auto result = client.stream(trace);
-  ASSERT_TRUE(result.complete) << result.transport_error;
+  ASSERT_TRUE(result.complete) << result.detail;
   ASSERT_EQ(result.estimates.size(), trace.size());
 
   const std::vector<EstimateFrame> reference = run_offline(spec, trace);
@@ -89,12 +89,41 @@ TEST(ServeServer, ConcurrentSessionsAllVerify) {
   load.master_seed = 21;
   load.verify = true;
   const LoadReport report = run_load(load);
-  for (const std::string& error : report.errors) ADD_FAILURE() << error;
+  for (const SessionError& error : report.session_errors) {
+    ADD_FAILURE() << "session " << error.session << " ["
+                  << to_string(error.kind) << "] " << error.detail;
+  }
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.sessions_completed, 8u);
   EXPECT_EQ(report.sessions_verified, 8u);
   EXPECT_EQ(report.verify_mismatched_frames, 0u);
   EXPECT_EQ(report.estimates_received, report.frames_sent);
+}
+
+// One attempt per session is the loadgen default; a failed one keeps its
+// cause instead of reading as a spent retry budget.
+TEST(ServeServer, LoadgenReportsConnectRefusedAtOneAttempt) {
+  std::uint16_t port = 0;
+  {
+    ServerHarness harness;
+    port = harness.port();
+  }  // the listener is closed: connects to `port` are refused
+
+  LoadOptions load;
+  load.port = port;
+  load.connections = 1;
+  load.sessions = 1;
+  load.spec = quick_spec();
+  const LoadReport report = run_load(load);
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.sessions_failed, 1u);
+  EXPECT_EQ(report.error_counts[static_cast<std::size_t>(
+                SessionErrorKind::kConnectRefused)],
+            1u);
+  ASSERT_EQ(report.session_errors.size(), 1u);
+  EXPECT_EQ(report.session_errors[0].kind, SessionErrorKind::kConnectRefused)
+      << report.session_errors[0].detail;
+  EXPECT_EQ(report.reconnects, 0u);
 }
 
 TEST(ServeServer, GarbageBytesGetErrorFrameAndClose) {

@@ -28,6 +28,7 @@
 // `--spec help` prints the spec mini-language.
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -43,6 +44,7 @@
 #include "runtime/campaign.hpp"
 #include "runtime/sink.hpp"
 #include "runtime/spec.hpp"
+#include "spec/grammar.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -167,6 +169,11 @@ int run(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    const auto index = [&](std::uint64_t max) {
+      std::uint64_t v = 0;
+      if (!spec::parse_index(next(), max, v)) usage(argv[0]);
+      return v;
+    };
     if (arg == "--spec") {
       const std::string value = next();
       if (value == "help") {
@@ -175,11 +182,11 @@ int run(int argc, char** argv) {
       }
       spec_text = load_spec_text(value);
     } else if (arg == "--trials") {
-      trials_override = std::stoull(next());
+      trials_override = index(SIZE_MAX);
     } else if (arg == "--seed") {
-      seed_override = std::stoull(next());
+      seed_override = index(UINT64_MAX);
     } else if (arg == "--jobs") {
-      jobs = std::stoull(next());
+      jobs = index(SIZE_MAX);
     } else if (arg == "--detector") {
       detector_arg = next();
       if (detector_arg == "help") {

@@ -11,12 +11,14 @@
 // SIGTERM/SIGINT stop the proxy; a summary goes to stderr and, with
 // --stats-json, a machine-readable copy to PATH.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
 
 #include "serve/chaos.hpp"
+#include "spec/grammar.hpp"
 
 namespace {
 
@@ -66,21 +68,26 @@ int run(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    const auto index = [&](std::uint64_t max) {
+      std::uint64_t v = 0;
+      if (!spec::parse_index(next(), max, v)) usage(argv[0]);
+      return v;
+    };
     try {
       if (arg == "--target-host") {
         target_host = next();
       } else if (arg == "--target-port") {
-        target_port = static_cast<std::uint16_t>(std::stoul(next()));
+        target_port = static_cast<std::uint16_t>(index(65535));
       } else if (arg == "--bind") {
         bind_address = next();
       } else if (arg == "--port") {
-        port = static_cast<std::uint16_t>(std::stoul(next()));
+        port = static_cast<std::uint16_t>(index(65535));
       } else if (arg == "--port-file") {
         port_file = next();
       } else if (arg == "--chaos") {
         chaos_spec = next();
       } else if (arg == "--seed") {
-        seed = std::stoull(next());
+        seed = index(UINT64_MAX);
       } else if (arg == "--stats-json") {
         stats_path = next();
       } else {

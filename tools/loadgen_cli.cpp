@@ -11,16 +11,19 @@
 //
 // --verify byte-compares every received ESTIMATE frame against the offline
 // core::pipeline reference (the serving parity contract); --json prints the
-// machine-readable report to stdout. --retries N runs each session through
-// the resilient client (session resumption + exponential backoff), which is
-// what a chaos soak behind chaos_cli needs to complete. Exit status is
-// non-zero when any session failed, any stream was incomplete, or any
-// verified frame mismatched.
+// machine-readable report to stdout. --retries N gives each session N
+// connection attempts (default 1): above one, a cut or shed session resumes
+// after an exponential backoff, which is what a chaos soak behind chaos_cli
+// needs to complete. A malformed or negative number exits 2. Exit status is
+// 1 when any session failed, any stream was incomplete, or any verified
+// frame mismatched.
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <string>
 
 #include "serve/loadgen.hpp"
+#include "spec/grammar.hpp"
 
 namespace {
 
@@ -46,8 +49,9 @@ namespace {
                "  --seed         master seed for per-session trace seeds\n"
                "  --verify       byte-compare estimates vs offline pipeline\n"
                "  --json         machine-readable report on stdout\n"
-               "  --retries      connection attempts per session; > 0 turns\n"
-               "                 on the resilient client (resume + backoff)\n";
+               "  --retries      connection attempts per session (default 1);\n"
+               "                 above 1, a cut or shed session resumes after\n"
+               "                 a backoff\n";
   std::exit(2);
 }
 
@@ -66,18 +70,24 @@ int run(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    const auto index = [&](std::uint64_t min, std::uint64_t max) {
+      std::uint64_t v = 0;
+      if (!spec::parse_index(next(), max, v) || v < min) usage(argv[0]);
+      return v;
+    };
     try {
       if (arg == "--port") {
-        options.port = static_cast<std::uint16_t>(std::stoul(next()));
+        options.port = static_cast<std::uint16_t>(index(1, 65535));
       } else if (arg == "--host") {
         options.host = next();
       } else if (arg == "--connections") {
-        options.connections = std::stoull(next());
+        options.connections = index(1, SIZE_MAX);
       } else if (arg == "--sessions") {
-        options.sessions = std::stoull(next());
+        options.sessions = index(1, SIZE_MAX);
         sessions_set = true;
       } else if (arg == "--steps") {
-        options.spec.horizon_steps = std::stoll(next());
+        options.spec.horizon_steps =
+            static_cast<std::int64_t>(index(1, INT64_MAX));
       } else if (arg == "--scenario") {
         const std::string value = next();
         if (value == "const-decel") {
@@ -112,11 +122,11 @@ int run(int argc, char** argv) {
       } else if (arg == "--hardened") {
         options.spec.hardened = true;
       } else if (arg == "--seed") {
-        options.master_seed = std::stoull(next());
+        options.master_seed = index(0, UINT64_MAX);
       } else if (arg == "--verify") {
         options.verify = true;
       } else if (arg == "--retries") {
-        options.retry_attempts = std::stoull(next());
+        options.retry.max_attempts = index(1, SIZE_MAX);
       } else if (arg == "--json") {
         json = true;
       } else {
@@ -150,7 +160,7 @@ int run(int argc, char** argv) {
                static_cast<double>(report.latency_p50_ns) / 1e6,
                static_cast<double>(report.latency_p95_ns) / 1e6,
                static_cast<double>(report.latency_p99_ns) / 1e6);
-  if (options.retry_attempts > 0) {
+  if (options.retry.max_attempts > 1) {
     std::fprintf(stderr,
                  "loadgen: resilience — %llu reconnect(s), %llu resume(s), "
                  "%llu restart(s), %llu overload backoff(s), %llu frame(s) "
@@ -171,8 +181,10 @@ int run(int argc, char** argv) {
                  static_cast<unsigned long long>(
                      report.verify_mismatched_frames));
   }
-  for (const std::string& error : report.errors) {
-    std::fprintf(stderr, "loadgen: error: %s\n", error.c_str());
+  for (const serve::SessionError& error : report.session_errors) {
+    std::fprintf(stderr, "loadgen: error: session %zu [%s] %s\n",
+                 error.session, serve::to_string(error.kind),
+                 error.detail.c_str());
   }
   return report.ok() ? 0 : 1;
 }

@@ -16,6 +16,7 @@
 // trigger a graceful drain: the listener closes, in-flight session work
 // finishes, every client gets STATUS kDraining, then the process exits.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -24,9 +25,13 @@
 
 #include "runtime/thread_pool.hpp"
 #include "serve/server.hpp"
+#include "spec/grammar.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
+
+/// Largest millisecond value whose nanosecond count fits in 64 bits.
+constexpr std::uint64_t kMaxMs = UINT64_MAX / 1'000'000ULL;
 
 [[noreturn]] void usage(const char* argv0) {
   std::cerr << "usage: " << argv0
@@ -90,31 +95,36 @@ int run(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    const auto index = [&](std::uint64_t max) {
+      std::uint64_t v = 0;
+      if (!spec::parse_index(next(), max, v)) usage(argv[0]);
+      return v;
+    };
     try {
       if (arg == "--bind") {
         options.bind_address = next();
       } else if (arg == "--port") {
-        options.port = static_cast<std::uint16_t>(std::stoul(next()));
+        options.port = static_cast<std::uint16_t>(index(65535));
       } else if (arg == "--port-file") {
         port_file = next();
       } else if (arg == "--jobs") {
-        jobs = std::stoull(next());
+        jobs = index(SIZE_MAX);
       } else if (arg == "--max-sessions") {
-        options.session.max_sessions = std::stoull(next());
+        options.session.max_sessions = index(SIZE_MAX);
       } else if (arg == "--idle-timeout-ms") {
-        options.session.idle_timeout_ns = std::stoull(next()) * 1'000'000ULL;
+        options.session.idle_timeout_ns = index(kMaxMs) * 1'000'000ULL;
       } else if (arg == "--max-outbound-kib") {
-        options.max_outbound_bytes = std::stoull(next()) * 1024;
+        options.max_outbound_bytes = index(SIZE_MAX / 1024) * 1024;
       } else if (arg == "--seed") {
-        options.master_seed = std::stoull(next());
+        options.master_seed = index(UINT64_MAX);
       } else if (arg == "--admission-max-batches") {
-        options.admission_max_batches = std::stoull(next());
+        options.admission_max_batches = index(SIZE_MAX);
       } else if (arg == "--frame-deadline-ms") {
-        options.frame_deadline_ns = std::stoull(next()) * 1'000'000ULL;
+        options.frame_deadline_ns = index(kMaxMs) * 1'000'000ULL;
       } else if (arg == "--resume-grace-ms") {
-        options.session.resume_grace_ns = std::stoull(next()) * 1'000'000ULL;
+        options.session.resume_grace_ns = index(kMaxMs) * 1'000'000ULL;
       } else if (arg == "--max-retained-steps") {
-        options.session.max_retained_steps = std::stoull(next());
+        options.session.max_retained_steps = index(SIZE_MAX);
       } else if (arg == "--metrics-out") {
         metrics_path = next();
       } else if (arg == "--trace-out") {
